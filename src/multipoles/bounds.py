@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import linalg, measures
+from . import measures
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,20 @@ def bound_report(A) -> BoundReport:
     k = M.shape[0]
     if k < 3:
         raise ValueError(f"bound report needs k >= 3, got {k}")
-    lam = linalg.eigh_many(M[None, :, :], vectors=False)[0][0, 0]
-    mus = measures._deletion_min_eigvals(M[None, :, :])[0]
+    lam, mus, gain = measures._gain_parts(M[None, :, :])
     off = M - np.eye(k)
     norm2 = np.sqrt((off * off).sum(axis=0))
     norm1 = np.abs(off).sum(axis=0)
-    deltas = mus - lam
+    deltas = mus[0] - lam[0]
     cols = tuple(
         ColumnBound(column=j, c_norm2=float(norm2[j]), c_norm1=float(norm1[j]), delta_lambda=float(deltas[j]))
         for j in range(k)
     )
-    gain = float(deltas.min())
     corollary1 = math.sqrt(float((off * off).sum()) / k)
     corollary2 = float(np.sqrt((off * off).sum(axis=0) / (k - 1)).min())
     return BoundReport(
         columns=cols,
-        gain=gain,
+        gain=float(gain[0]),
         corollary1_bound=corollary1,
         corollary2_bound=corollary2,
         size_cap_bound=1.0 / (k - 1),

@@ -78,14 +78,6 @@ def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
 
 
 def _miner_config(args) -> miner.MinerConfig:
-    if not (0.0 <= args.sigma <= 1.0):
-        raise _Validation("sigma must be in [0,1]")
-    if not (0.0 < args.delta <= 1.0):
-        raise _Validation("delta must be in (0,1]")
-    if not (-1.0 <= args.rho <= 1.0):
-        raise _Validation("rho must be in [-1,1]")
-    if args.max_size is not None and args.max_size < 3:
-        raise _Validation("max-size must be >= 3")
     return miner.MinerConfig(
         sigma_threshold=args.sigma,
         delta_threshold=args.delta,
@@ -156,8 +148,6 @@ def cmd_brute(args) -> int:
 def cmd_random(args) -> int:
     started = _utcnow()
     cfg = _miner_config(args)
-    if args.trials < 0:
-        raise _Validation("trials must be >= 0")
     d = _load_standardized(args.input, args.detrend)
     A = dataset.correlation_matrix(d)
     records = miner.random_search(A, cfg, trials=args.trials)

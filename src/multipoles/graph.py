@@ -42,12 +42,6 @@ class PromisingGraph:
     def n_nodes(self) -> int:
         return 2 * self.n_variables
 
-    def variable_of(self, node: int) -> int:
-        return node % self.n_variables
-
-    def copy_of(self, node: int) -> int:
-        return 1 if node < self.n_variables else 2
-
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 
@@ -61,16 +55,6 @@ class PromisingGraph:
             else:
                 hi = mid
         return lo < len(adj) and adj[lo] == b
-
-    def dump(self) -> str:
-        """Edge list, one line per undirected edge: 'copy:var copy:var w'."""
-        n = self.n_variables
-        lines = []
-        for a in range(self.n_nodes):
-            for b in self.adjacency[a]:
-                if b > a:
-                    lines.append(f"{self.copy_of(a)}:{a % n} {self.copy_of(b)}:{b % n} {self.rho:g}")
-        return "\n".join(lines)
 
 
 def build_graph(A, rho: float) -> PromisingGraph:

@@ -148,14 +148,15 @@ def eigh_many(
     order = np.argsort(values, axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)
     if V is not None:
-        V = np.take_along_axis(V, order[:, None, :], axis=2)
-        # canonical orientation per eigenvector column
-        significant = np.abs(V) > ORIENT_EPS
-        first = np.argmax(significant, axis=1)  # (n, k) row index per column
-        lead = np.take_along_axis(V, first[:, None, :], axis=1)[:, 0, :]
-        flip = np.where(lead < 0.0, -1.0, 1.0)
-        V = V * flip[:, None, :]
+        V = _orient(np.take_along_axis(V, order[:, None, :], axis=2))
     return values, V
+
+
+def _orient(V: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Flip each eigenvector column so its first component above ORIENT_EPS in magnitude is positive."""
+    first = np.argmax(np.abs(V) > ORIENT_EPS, axis=1)  # (n, k) row index per column
+    lead = np.take_along_axis(V, first[:, None, :], axis=1)[:, 0, :]
+    return V * np.where(lead < 0.0, -1.0, 1.0)[:, None, :]
 
 
 def _eigh2(A: NDArray[np.float64], vectors: bool) -> tuple[NDArray[np.float64], NDArray[np.float64] | None]:
@@ -183,11 +184,7 @@ def _eigh2(A: NDArray[np.float64], vectors: bool) -> tuple[NDArray[np.float64], 
     V[:, :, 0] = v0
     V[:, 0, 1] = -v0[:, 1]
     V[:, 1, 1] = v0[:, 0]
-    significant = np.abs(V) > ORIENT_EPS
-    first = np.argmax(significant, axis=1)
-    lead = np.take_along_axis(V, first[:, None, :], axis=1)[:, 0, :]
-    flip = np.where(lead < 0.0, -1.0, 1.0)
-    return values, V * flip[:, None, :]
+    return values, _orient(V)
 
 
 def eigen_symmetric(A) -> list[tuple[float, NDArray[np.float64]]]:

@@ -134,7 +134,7 @@ def lvnlc(A, subset) -> tuple[float, NDArray[np.float64]]:
 def linear_dependence(A, subset) -> float:
     """1 minus the LVNLC variance, clamped to [0, 1]."""
     var, _ = lvnlc(A, subset)
-    return float(min(1.0, max(0.0, 1.0 - var)))
+    return float(_sigma_of(var))
 
 
 def linear_gain(A, subset) -> float:
@@ -144,10 +144,8 @@ def linear_gain(A, subset) -> float:
     member j removed; nonnegative up to eigensolver tolerance.
     """
     M, idx = _checked_subset(A, subset, 3)
-    sub = _submatrix(M, idx)
-    lam = linalg.eigh_many(sub[None, :, :], vectors=False)[0][0, 0]
-    mus = _deletion_min_eigvals(sub[None, :, :])[0]
-    return float(mus.min() - lam)
+    _, _, gain = _gain_parts(_submatrix(M, idx)[None, :, :])
+    return float(gain[0])
 
 
 def self_canceling_form(A, subset) -> CanonicalForm:
@@ -225,6 +223,11 @@ class StackStudy(NamedTuple):
     rho_s: NDArray[np.float64]
 
 
+def _sigma_of(lam):
+    """Linear dependence 1 - lambda_min, clamped to [0, 1]; elementwise."""
+    return np.clip(1.0 - lam, 0.0, 1.0)
+
+
 def _deletion_min_eigvals(mats: NDArray[np.float64]) -> NDArray[np.float64]:
     """Smallest eigenvalue of every single-member deletion; shape (B, k)."""
     B, k, _ = mats.shape
@@ -237,16 +240,26 @@ def _deletion_min_eigvals(mats: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
+def _gain_parts(mats: NDArray[np.float64], lam: NDArray[np.float64] | None = None):
+    """(lambda_min, deletion minima, gain) of a (B, k, k) stack, k >= 3.
+
+    gain is min_j mu_j - lambda; pass lam when the caller has already solved
+    the stack, so no matrix is diagonalized twice.
+    """
+    if lam is None:
+        lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
+    mus = _deletion_min_eigvals(mats)
+    return lam, mus, mus.min(axis=1) - lam
+
+
 def _study_stack(mats: NDArray[np.float64]) -> StackStudy:
     """Eigen-structure, deletion eigenvalues, gain, and adjusted max correlation
     for a stack of correlation submatrices of a common size k >= 3."""
     mats = np.asarray(mats, dtype=np.float64)
     B, k, _ = mats.shape
     values, vecs = linalg.eigh_many(mats, vectors=True)
-    lam = values[:, 0]
     vectors = vecs[:, :, 0]
-    deletion = _deletion_min_eigvals(mats)
-    gain = deletion.min(axis=1) - lam
+    lam, deletion, gain = _gain_parts(mats, values[:, 0])
     signs = np.where(vectors < -FLIP_EPS, -1.0, 1.0)
     adj = mats * signs[:, :, None] * signs[:, None, :]
     offmask = ~np.eye(k, dtype=bool)

@@ -40,13 +40,13 @@ class MinerConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.sigma_threshold <= 1.0):
-            raise ValueError(f"sigma_threshold must lie in [0, 1], got {self.sigma_threshold}")
+            raise ValueError(f"sigma must be in [0,1], got {self.sigma_threshold}")
         if not (0.0 < self.delta_threshold <= 1.0):
-            raise ValueError(f"delta_threshold must lie in (0, 1], got {self.delta_threshold}")
+            raise ValueError(f"delta must be in (0,1], got {self.delta_threshold}")
         if not (-1.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+            raise ValueError(f"rho must be in [-1,1], got {self.rho}")
         if self.max_size is not None and self.max_size < 3:
-            raise ValueError(f"max_size must be >= 3, got {self.max_size}")
+            raise ValueError(f"max-size must be >= 3, got {self.max_size}")
         if self.clique_budget < 1:
             raise ValueError("clique_budget must be positive")
 
@@ -66,32 +66,58 @@ class MiningBudgetExceeded(RuntimeError):
 
 
 def _resolve_matrix(data) -> NDArray[np.float64]:
+    """Entries of a validated correlation matrix, the one entry point for mining input.
+
+    A dataset is correlated (it must be standardized), a CorrelationMatrix is
+    used as it is, and anything else is validated as a CorrelationMatrix, so a
+    raw matrix with NaN, asymmetry or a non-unit diagonal raises ValueError.
+    """
     if isinstance(data, dataset.TimeSeriesDataset):
-        if not data.standardized:
-            raise ValueError("dataset must be standardized before mining")
-        return dataset.correlation_matrix(data).entries
-    return measures._entries(data)
+        data = dataset.correlation_matrix(data)
+    elif not isinstance(data, dataset.CorrelationMatrix):
+        data = dataset.CorrelationMatrix(entries=data)
+    return data.entries
 
 
-def _sigma_of(lam: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.clip(1.0 - lam, 0.0, 1.0)
+def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64]:
+    """Principal submatrices of M, one per row of the (B, s) member-index array sel."""
+    return M[sel[:, :, None], sel[:, None, :]]
 
 
-def _stack_lambda(M: NDArray[np.float64], masks, idx: tuple[int, ...], size: int) -> NDArray[np.float64]:
-    """Smallest eigenvalue per mask; masks select positions within idx."""
-    if size == 2:
-        out = np.empty(len(masks))
-        for t, m in enumerate(masks):
-            i = (m & -m).bit_length() - 1
-            j = (m >> (i + 1)).bit_length() + i
-            c = M[idx[i], idx[j]]
-            out[t] = 1.0 - abs(c)
-        return out
-    sub = np.empty((len(masks), size, size))
-    for t, m in enumerate(masks):
-        sel = np.array([idx[b] for b in range(len(idx)) if m >> b & 1], dtype=np.intp)
-        sub[t] = M[np.ix_(sel, sel)]
-    return linalg.eigh_many(sub, vectors=False)[0][:, 0]
+def _evaluate(M: NDArray[np.float64], sel: NDArray[np.intp], cfg: MinerConfig):
+    """Score the member sets in the rows of sel: the subset-evaluation kernel.
+
+    Returns (lam, sigma, ok, mus, gain). lam and sigma cover every row; ok
+    holds the rows whose sigma clears cfg.sigma_threshold, and mus (deletion
+    eigenvalues) and gain are computed for those rows only, aligned with ok.
+    """
+    mats = _gather(M, sel)
+    lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
+    sigma = measures._sigma_of(lam)
+    ok = np.nonzero(sigma >= cfg.sigma_threshold)[0]
+    if ok.size == 0:
+        return lam, sigma, ok, None, None
+    _, mus, gain = measures._gain_parts(mats[ok], lam[ok])
+    return lam, sigma, ok, mus, gain
+
+
+def _qualifying_records(M: NDArray[np.float64], groups, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
+    """Records for every set passing both thresholds, in order.
+
+    groups yields lists of same-size sorted member tuples; each list is
+    scored as one stack.
+    """
+    kept_tuples: list[tuple[int, ...]] = []
+    kept_sigma: list[float] = []
+    kept_gain: list[float] = []
+    for group in groups:
+        _, sigma, ok, _, gain = _evaluate(M, np.asarray(group, dtype=np.intp), cfg)
+        for t, row in enumerate(ok):
+            if gain[t] >= cfg.delta_threshold:
+                kept_tuples.append(group[row])
+                kept_sigma.append(float(sigma[row]))
+                kept_gain.append(float(gain[t]))
+    return _make_records(M, kept_tuples, kept_sigma, kept_gain)
 
 
 def _make_records(M: NDArray[np.float64], member_tuples, sigmas, gains) -> list[measures.MultipoleRecord]:
@@ -100,11 +126,8 @@ def _make_records(M: NDArray[np.float64], member_tuples, sigmas, gains) -> list[
     out: list = [None] * len(member_tuples)
     for size, group in itertools.groupby(order, key=lambda t: len(member_tuples[t])):
         grp = list(group)
-        sub = np.empty((len(grp), size, size))
-        for row, t in enumerate(grp):
-            sel = np.asarray(member_tuples[t], dtype=np.intp)
-            sub[row] = M[np.ix_(sel, sel)]
-        values, vecs = linalg.eigh_many(sub, vectors=True)
+        sel = np.asarray([member_tuples[t] for t in grp], dtype=np.intp)
+        values, vecs = linalg.eigh_many(_gather(M, sel), vectors=True)
         near = (values[:, 1] - values[:, 0]) < measures.DEGENERATE_GAP
         w = vecs[:, :, 0]
         signs = np.where(w < -measures.FLIP_EPS, -1, 1)
@@ -120,6 +143,16 @@ def _make_records(M: NDArray[np.float64], member_tuples, sigmas, gains) -> list[
                 near_degenerate=bool(near[row]),
             )
     return out
+
+
+def _bits(m: int):
+    """Positions of the set bits of m, ascending."""
+    b = 0
+    while m:
+        if m & 1:
+            yield b
+        m >>= 1
+        b += 1
 
 
 def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
@@ -139,52 +172,40 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
         raise ValueError(f"candidate needs at least 3 members, got {k}")
     max_size = cfg.resolved_max_size()
     smax = min(k, max_size)
-    sub_full = M[np.ix_(np.asarray(idx, dtype=np.intp), np.asarray(idx, dtype=np.intp))]
-    lam_full = linalg.eigh_many(sub_full[None], vectors=False)[0][0, 0]
-    sigma_full = float(_sigma_of(np.array([lam_full]))[0])
-    if sigma_full < cfg.sigma_threshold:
+    lam, sigma, ok, mus, gain = _evaluate(M, np.asarray([idx], dtype=np.intp), cfg)
+    if ok.size == 0:
         return []
-    mus_full = measures._deletion_min_eigvals(sub_full[None])[0]
-    gain_full = float(mus_full.min() - lam_full)
-    if k <= max_size and gain_full >= cfg.delta_threshold:
-        recs = _make_records(M, [idx], [sigma_full], [gain_full])
-        return recs
+    if k <= max_size and gain[0] >= cfg.delta_threshold:
+        return _make_records(M, [idx], [sigma[0]], [gain[0]])
 
     full_mask = (1 << k) - 1
-    lam_memo: dict[int, float] = {full_mask: lam_full}
+    lam_memo: dict[int, float] = {full_mask: float(lam[0])}
     for b in range(k):
-        lam_memo[full_mask ^ (1 << b)] = float(mus_full[b])
+        lam_memo[full_mask ^ (1 << b)] = float(mus[0, b])
     alive_prev = [full_mask]
     pending: dict[int, list[int]] = {k: [full_mask] if k <= smax else []}
     results: list[tuple[int, float, float]] = []
 
-    def bits(m: int):
-        b = 0
-        while m:
-            if m & 1:
-                yield b
-            m >>= 1
-            b += 1
-
     for s in range(k - 1, 1, -1):
         cnt: Counter[int] = Counter()
         for m in alive_prev:
-            for b in bits(m):
+            for b in _bits(m):
                 cnt[m ^ (1 << b)] += 1
         eligible = sorted(m for m, c in cnt.items() if c == k - s)
-        needed = {m ^ (1 << b) for m in pending.get(s + 1, []) for b in bits(m)}
+        needed = {m ^ (1 << b) for m in pending.get(s + 1, []) for b in _bits(m)}
         eval_masks = sorted((set(eligible) | needed) - lam_memo.keys())
         if eval_masks:
-            lam = _stack_lambda(M, eval_masks, idx, s)
-            for t, m in enumerate(eval_masks):
-                lam_memo[m] = float(lam[t])
+            sel = np.asarray([[idx[b] for b in _bits(m)] for m in eval_masks], dtype=np.intp)
+            lam_s = linalg.eigh_many(_gather(M, sel), vectors=False)[0][:, 0]
+            lam_memo.update(zip(eval_masks, lam_s.tolist()))
         for m in pending.get(s + 1, []):
             lam_m = lam_memo[m]
-            mu = min(lam_memo[m ^ (1 << b)] for b in bits(m))
-            gain = mu - lam_m
-            if gain >= cfg.delta_threshold:
-                results.append((m, min(1.0, max(0.0, 1.0 - lam_m)), gain))
-        alive_prev = [m for m in eligible if min(1.0, max(0.0, 1.0 - lam_memo[m])) >= cfg.sigma_threshold]
+            mu = min(lam_memo[m ^ (1 << b)] for b in _bits(m))
+            gain_m = mu - lam_m
+            if gain_m >= cfg.delta_threshold:
+                results.append((m, float(measures._sigma_of(lam_m)), gain_m))
+        sig = measures._sigma_of(np.array([lam_memo[m] for m in eligible]))
+        alive_prev = [m for m, alive in zip(eligible, sig >= cfg.sigma_threshold) if alive]
         pending[s] = alive_prev if 3 <= s <= smax else []
         if not alive_prev:
             break
@@ -192,8 +213,27 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
     if not results:
         return []
     results.sort(key=lambda r: (-bin(r[0]).count("1"), r[0]))
-    tuples = [tuple(idx[b] for b in bits(m)) for m, _, _ in results]
+    tuples = [tuple(idx[b] for b in _bits(m)) for m, _, _ in results]
     return _make_records(M, tuples, [r[1] for r in results], [r[2] for r in results])
+
+
+def _drop_contained(items, members_of) -> list:
+    """The items, in order, whose member set is not a subset of an earlier kept item's set.
+
+    Equal sets count as contained, so this also drops duplicates. Only kept
+    sets sharing the item's rarest member are compared against.
+    """
+    holders: dict = {}  # member -> member sets of kept items containing it
+    out = []
+    for item in items:
+        key = frozenset(members_of(item))
+        rivals = min((holders.get(m, ()) for m in key), key=len, default=())
+        if any(key <= other for other in rivals):
+            continue
+        out.append(item)
+        for m in key:
+            holders.setdefault(m, []).append(key)
+    return out
 
 
 def remove_non_maximal(records) -> list[measures.MultipoleRecord]:
@@ -203,18 +243,7 @@ def remove_non_maximal(records) -> list[measures.MultipoleRecord]:
     set blocks all of its subsets from later acceptance.
     """
     ordered = sorted(records, key=lambda r: (-r.size, r.signed))
-    blocked: set[tuple[int, ...]] = set()
-    out = []
-    for rec in ordered:
-        key = rec.members
-        if key in blocked:
-            continue
-        out.append(replace(rec, maximal=True))
-        n = len(key)
-        for size in range(3, n + 1):
-            for comb in itertools.combinations(key, size):
-                blocked.add(comb)
-    return out
+    return [replace(rec, maximal=True) for rec in _drop_contained(ordered, lambda r: r.members)]
 
 
 def _final_sort(records) -> list[measures.MultipoleRecord]:
@@ -240,7 +269,8 @@ def _dedup_candidates(g: graph.PromisingGraph, cliques) -> list[measures.SignedS
 
 
 def mine(data, cfg: MinerConfig, threads: int = 1) -> list[measures.MultipoleRecord]:
-    """All maximal multipoles of a standardized dataset (or correlation matrix).
+    """All maximal multipoles of a standardized dataset (or correlation matrix;
+    a raw array is validated as a CorrelationMatrix first).
 
     Candidates come from maximal cliques of the dual-copy graph at cfg.rho;
     each candidate is searched for threshold-satisfying subsets; duplicates
@@ -282,6 +312,7 @@ def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[
 
     No pruning and no graph: results are exactly the maximal threshold-
     satisfying sets. Refuses instances whose subset count exceeds the budget.
+    Input is resolved and validated as in mine.
     """
     M = _resolve_matrix(data)
     n = M.shape[0]
@@ -289,30 +320,14 @@ def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[
     total = sum(math.comb(n, s) for s in range(3, smax + 1))
     if total > subset_budget:
         raise MiningBudgetExceeded(f"{total} subsets exceed the budget of {subset_budget}", records=[])
-    kept_tuples: list[tuple[int, ...]] = []
-    kept_sigma: list[float] = []
-    kept_gain: list[float] = []
-    for s in range(3, smax + 1):
-        combos = list(itertools.combinations(range(n), s))
-        for start in range(0, len(combos), 50_000):
-            chunk = combos[start : start + 50_000]
-            sel = np.asarray(chunk, dtype=np.intp)
-            mats = M[sel[:, :, None], sel[:, None, :]]
-            lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-            sigma = _sigma_of(lam)
-            ok = sigma >= cfg.sigma_threshold
-            if not ok.any():
-                continue
-            mus = measures._deletion_min_eigvals(mats[ok])
-            gain = mus.min(axis=1) - lam[ok]
-            hit = gain >= cfg.delta_threshold
-            for t, row in enumerate(np.nonzero(ok)[0]):
-                if hit[t]:
-                    kept_tuples.append(chunk[row])
-                    kept_sigma.append(float(sigma[row]))
-                    kept_gain.append(float(gain[t]))
-    records = _make_records(M, kept_tuples, kept_sigma, kept_gain)
-    return _final_sort(remove_non_maximal(records))
+
+    def chunks():
+        for s in range(3, smax + 1):
+            combos = list(itertools.combinations(range(n), s))
+            for start in range(0, len(combos), 50_000):
+                yield combos[start : start + 50_000]
+
+    return _final_sort(remove_non_maximal(_qualifying_records(M, chunks(), cfg)))
 
 
 def random_search(A, cfg: MinerConfig, trials: int) -> list[measures.MultipoleRecord]:
@@ -335,29 +350,9 @@ def random_search(A, cfg: MinerConfig, trials: int) -> list[measures.MultipoleRe
         if subset not in seen:
             seen.add(subset)
             unique.append(subset)
-    kept_tuples: list[tuple[int, ...]] = []
-    kept_sigma: list[float] = []
-    kept_gain: list[float] = []
     order = sorted(range(len(unique)), key=lambda t: (len(unique[t]), t))
-    for size, group in itertools.groupby(order, key=lambda t: len(unique[t])):
-        grp = list(group)
-        sel = np.asarray([unique[t] for t in grp], dtype=np.intp)
-        mats = M[sel[:, :, None], sel[:, None, :]]
-        lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-        sigma = _sigma_of(lam)
-        ok = sigma >= cfg.sigma_threshold
-        if not ok.any():
-            continue
-        mus = measures._deletion_min_eigvals(mats[ok])
-        gain = mus.min(axis=1) - lam[ok]
-        hit = gain >= cfg.delta_threshold
-        for t, row in enumerate(np.nonzero(ok)[0]):
-            if hit[t]:
-                kept_tuples.append(unique[grp[row]])
-                kept_sigma.append(float(sigma[row]))
-                kept_gain.append(float(gain[t]))
-    records = _make_records(M, kept_tuples, kept_sigma, kept_gain)
-    return _final_sort(records)
+    groups = ([unique[t] for t in grp] for _, grp in itertools.groupby(order, key=lambda t: len(unique[t])))
+    return _final_sort(_qualifying_records(M, groups, cfg))
 
 
 def records_to_dicts(records, names=None) -> list[dict]:
@@ -415,8 +410,14 @@ def read_records_json(path) -> list[dict]:
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of multipole objects")
     for i, d in enumerate(data):
-        if not isinstance(d, dict) or "members" not in d:
-            raise ValueError(f"{path}: entry {i} is not a multipole object")
+        members = d.get("members") if isinstance(d, dict) else None
+        if not (
+            isinstance(members, list)
+            and len(members) >= 3
+            and all(isinstance(m, str) for m in members)
+            and len(set(members)) == len(members)
+        ):
+            raise ValueError(f"{path}: entry {i} is not a multipole object with 3 or more distinct member names")
     return data
 
 
@@ -428,15 +429,6 @@ def merge_by_names(dict_lists) -> list[dict]:
     """
     rows = [d for lst in dict_lists for d in lst]
     ordered = sorted(rows, key=lambda d: (-len(d["members"]), tuple(d["members"])))
-    blocked: set[frozenset] = set()
-    out = []
-    for d in ordered:
-        key = frozenset(d["members"])
-        if key in blocked:
-            continue
-        out.append(d)
-        for size in range(3, len(key) + 1):
-            for comb in itertools.combinations(sorted(key), size):
-                blocked.add(frozenset(comb))
+    out = _drop_contained(ordered, lambda d: d["members"])
     out.sort(key=lambda d: (-d.get("linear_gain", 0.0), -d.get("linear_dependence", 0.0), tuple(d["members"])))
     return out

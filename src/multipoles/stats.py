@@ -48,12 +48,6 @@ class NullDistribution:
         if arr.size and (np.any(arr[:-1] > arr[1:]) or arr[0] < 0.0 or arr[-1] > 1.0):
             raise ValueError("sigmas must be ascending and within [0, 1]")
 
-    @classmethod
-    def from_pool(cls, k: int, pool, samples: int, seed) -> "NullDistribution":
-        sigmas = _null_sigmas(k, pool, samples, seed)
-        sigmas.sort()
-        return cls(sample_count=samples, sorted_sigmas=tuple(float(x) for x in sigmas), set_size=k)
-
     def p_value(self, candidate_sigma: float) -> float:
         if self.sample_count < 1000:
             raise ValueError(f"need at least 1000 null samples for a p-value, have {self.sample_count}")
@@ -251,7 +245,7 @@ def _null_sigmas(k: int, pool, samples: int, seed) -> NDArray[np.float64]:
         np.clip(C, -1.0, 1.0, out=C)
         C[:, np.arange(k), np.arange(k)] = 1.0
         lam = linalg.eigh_many(C, vectors=False)[0][:, 0]
-        out[done : done + n] = np.clip(1.0 - lam, 0.0, 1.0)
+        out[done : done + n] = measures._sigma_of(lam)
         done += n
     return out
 
@@ -293,7 +287,7 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     np.clip(C0, -1.0, 1.0, out=C0)
     np.fill_diagonal(C0, 1.0)
     lam0 = linalg.eigh_many(C0[None], vectors=False)[0][0, 0]
-    sigma0 = float(np.clip(1.0 - lam0, 0.0, 1.0))
+    sigma0 = float(measures._sigma_of(lam0))
 
     rng = np.random.default_rng(seed)
     P = len(pool)
@@ -314,7 +308,7 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
         mats[:, i, pos] = cross[row]
         mats[:, pos, i] = cross[row]
     lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-    sigmas = np.clip(1.0 - lam, 0.0, 1.0)
+    sigmas = measures._sigma_of(lam)
     count_ge = int((sigmas >= sigma0).sum())
     return (1 + count_ge) / (repeats + 1)
 
@@ -352,7 +346,7 @@ def reproducibility(
         np.clip(C, -1.0, 1.0, out=C)
         np.fill_diagonal(C, 1.0)
         lam = linalg.eigh_many(C[None], vectors=False)[0][0, 0]
-        sigma = float(np.clip(1.0 - lam, 0.0, 1.0))
+        sigma = float(measures._sigma_of(lam))
         p_sigma = significance_sigma(sigma, k, pool, samples, subs[0])
         if p_sigma > alpha:
             continue

@@ -122,6 +122,13 @@ def test_merge_dedups_subsets(tmp_path, planted_csv):
             assert not (a_ < b_)
 
 
+def test_merge_rejects_malformed_members(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"members": ["a", "b"]}]))
+    assert run(["merge", "--inputs", bad, "--out", tmp_path / "merged.json"]) == 2
+    assert "entry 0" in capsys.readouterr().err
+
+
 def test_sample_scatter_csv(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sample", "--k", "3", "--count", "500", "--seed", "1",

@@ -250,11 +250,3 @@ def test_mirror_pairing_halves_clique_count():
         cliques = [c for c in maximal_cliques(g) if len(c) >= 3]
         distinct = {clique_to_signed_set(g, c) for c in cliques}
         assert len(cliques) == 2 * len(distinct)
-
-
-def test_graph_dump_format():
-    g = build_graph(triple(-0.6, 0.5, 0.4), rho=0.0)
-    dump = g.dump()
-    assert isinstance(dump, str)
-    lines = dump.strip().splitlines()
-    assert len(lines) == sum(len(n) for n in g.adjacency) // 2

@@ -2,6 +2,8 @@
 oracle equivalence against exhaustive search."""
 
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +191,70 @@ def test_remove_non_maximal_keeps_overlapping_sets():
     assert sorted(r.members for r in out) == [(0, 1, 2), (1, 2, 3)]
 
 
+def blocking_reference(keys):
+    """Positions kept by the former filter: each accepted key blocks all 2^k
+    of its subsets, and a key is accepted unless it is blocked."""
+    blocked = set()
+    kept = []
+    for t, key in enumerate(keys):
+        if frozenset(key) in blocked:
+            continue
+        kept.append(t)
+        for size in range(len(key) + 1):
+            blocked.update(frozenset(c) for c in itertools.combinations(key, size))
+    return kept
+
+
+def random_family(rng, universe, count):
+    """Member sets of sizes 3..8, half of them drawn inside earlier sets so
+    that containment and duplicates are common."""
+    sets = []
+    for _ in range(count):
+        if sets and rng.random() < 0.5:
+            parent = sets[rng.integers(len(sets))]
+            size = int(rng.integers(3, len(parent) + 1))
+            members = rng.choice(parent, size=size, replace=False)
+        else:
+            members = rng.choice(universe, size=int(rng.integers(3, 9)), replace=False)
+        sets.append(sorted(members.tolist()))
+    return sets
+
+
+def test_remove_non_maximal_matches_blocking_reference():
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        recs = [
+            MultipoleRecord(
+                signed=SignedSet(members=tuple(m), signs=(1,) * len(m)),
+                sigma=float(rng.random()),
+                gain=float(rng.random()),
+                weights=(1.0,) * len(m),
+                maximal=False,
+            )
+            for m in random_family(rng, 12, 40)
+        ]
+        ordered = sorted(recs, key=lambda r: (-r.size, r.signed))
+        want = [ordered[t].members for t in blocking_reference([r.members for r in ordered])]
+        got = remove_non_maximal(recs)
+        assert [r.members for r in got] == want
+        assert all(r.maximal for r in got)
+
+
+def test_merge_by_names_matches_blocking_reference():
+    rng = np.random.default_rng(74)
+    names = [f"x{i:02d}" for i in range(12)]
+    for _ in range(30):
+        rows = [
+            {"members": [names[i] for i in m], "linear_dependence": float(rng.random()),
+             "linear_gain": float(rng.random())}
+            for m in random_family(rng, 12, 40)
+        ]
+        ordered = sorted(rows, key=lambda d: (-len(d["members"]), tuple(d["members"])))
+        want = [ordered[t] for t in blocking_reference([d["members"] for d in ordered])]
+        want.sort(key=lambda d: (-d["linear_gain"], -d["linear_dependence"], tuple(d["members"])))
+        assert miner.merge_by_names([rows]) == want
+
+
 # ---------------------------------------------------------------- mine
 
 
@@ -220,6 +286,25 @@ def test_mine_accepts_matrix_input():
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
     recs = mine(a, cfg)
     assert len(recs) == 1 and recs[0].sigma == pytest.approx(1.0, abs=1e-9)
+
+
+def malformed(kind):
+    a = equicorrelated(3, -0.5)
+    if kind == "nan":
+        a[0, 1] = a[1, 0] = np.nan
+    elif kind == "asymmetric":
+        a[0, 1] = -0.9  # a[1, 0] stays -0.5
+    else:
+        a = 3.0 * a  # diagonal 3, gain 1.5 above the 1/(k-1) cap
+    return a
+
+
+@pytest.mark.parametrize("search", [mine, brute_force])
+@pytest.mark.parametrize("kind", ["nan", "asymmetric", "scaled"])
+def test_raw_matrix_input_is_validated(search, kind):
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
+    with pytest.raises(ValueError):
+        search(malformed(kind), cfg)
 
 
 def test_mine_matches_brute_force_at_rho_one():
@@ -374,3 +459,33 @@ def test_merge_by_names_blocks_subsets():
     got = [tuple(r["members"]) for r in merged]
     assert ("a", "b", "c") not in got
     assert ("a", "b", "c", "d") in got and ("x", "y", "z") in got
+
+
+def test_merge_by_names_twenty_member_row():
+    # blocking every subset of the 20-member row would build about 10^6 sets
+    big = [f"m{i:02d}" for i in range(20)]
+    rows = [{"members": big, "linear_gain": 0.2}]
+    rows += [{"members": big[:j] + big[j + 1:], "linear_gain": 0.3} for j in range(20)]
+    rows += [{"members": big[j:j + 3], "linear_gain": 0.4} for j in range(18)]
+    rows += [{"members": ["m00", "m01", "outside"], "linear_gain": 0.1}]
+    t0 = time.perf_counter()
+    merged = miner.merge_by_names([rows])
+    assert time.perf_counter() - t0 < 1.0
+    assert [r["members"] for r in merged] == [big, ["m00", "m01", "outside"]]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"signs": [1, 1, 1]},
+        {"members": "a,b,c"},
+        {"members": ["a", "b"]},
+        {"members": ["a", "b", "a"]},
+        {"members": ["a", "b", 3]},
+    ],
+)
+def test_read_records_json_rejects_malformed_members(tmp_path, entry):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps([{"members": ["a", "b", "c"]}, entry]))
+    with pytest.raises(ValueError, match="entry 1"):
+        miner.read_records_json(p)
