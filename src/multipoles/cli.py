@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -55,20 +54,6 @@ def _write_manifest(base: str, command: str, config: dict, inputs: list, outputs
     return path
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        n = args.threads
-    else:
-        env = os.environ.get("MULTIPOLE_THREADS", "")
-        try:
-            n = int(env) if env else 1
-        except ValueError:
-            raise _Validation(f"MULTIPOLE_THREADS must be an integer, got {env!r}")
-    if n < 1:
-        raise _Validation("threads must be >= 1")
-    return n
-
-
 def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
     try:
         raw = dataset.load_csv(path)
@@ -102,11 +87,10 @@ def _emit_records(records, names, args, command: str, config: dict, inputs: list
 def cmd_mine(args) -> int:
     started = _utcnow()
     cfg = _miner_config(args)
-    threads = _resolve_threads(args)
     d = _load_standardized(args.input, args.detrend)
     partial = False
     try:
-        records = miner.mine(d, cfg, threads=threads)
+        records = miner.mine(d, cfg)
     except miner.MiningBudgetExceeded as e:
         records = e.records
         partial = True
@@ -118,7 +102,6 @@ def cmd_mine(args) -> int:
         "max_size": cfg.resolved_max_size(),
         "seed": cfg.seed,
         "clique_budget": cfg.clique_budget,
-        "threads": threads,
         "detrend": args.detrend,
     }
     return _emit_records(records, d.names, args, "mine", config, [args.input], started, partial)
@@ -149,8 +132,7 @@ def cmd_random(args) -> int:
     started = _utcnow()
     cfg = _miner_config(args)
     d = _load_standardized(args.input, args.detrend)
-    A = dataset.correlation_matrix(d)
-    records = miner.random_search(A, cfg, trials=args.trials)
+    records = miner.random_search(d, cfg, trials=args.trials)
     config = {
         "sigma": cfg.sigma_threshold,
         "delta": cfg.delta_threshold,
@@ -352,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_miner_flags(p)
     p.add_argument("--rho", type=float, default=0.0, help="graph correlation threshold, in [-1,1]")
     p.add_argument("--clique-budget", type=int, default=10_000_000, help="abort after this many maximal cliques, >= 1")
-    p.add_argument("--threads", type=int, default=None, help="worker threads, >= 1 (default: MULTIPOLE_THREADS or 1)")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("brute", help="exhaustive subset search (oracle)", formatter_class=argparse.ArgumentDefaultsHelpFormatter)

@@ -4,7 +4,7 @@ The eigensolver is a cyclic Jacobi sweep with a fixed row-major rotation
 order. Matrices here are correlation submatrices, rarely beyond a dozen
 variables and capped at 64, where Jacobi is accurate to machine precision
 and, crucially, bit-reproducible: identical input bits give identical
-output bits regardless of batch composition or thread count. Everything
+output bits regardless of batch composition. Everything
 downstream leans on that for deterministic result files.
 
 ``eigh_many`` diagonalizes a whole stack of same-sized matrices in one

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,43 +100,31 @@ def _evaluate(M: NDArray[np.float64], sel: NDArray[np.intp], cfg: MinerConfig):
     return lam, sigma, ok, mus, gain
 
 
-def _qualifying_records(M: NDArray[np.float64], groups, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
-    """Records for every set passing both thresholds, in order.
-
-    groups yields lists of same-size sorted member tuples; each list is
-    scored as one stack.
-    """
-    kept_tuples: list[tuple[int, ...]] = []
-    kept_sigma: list[float] = []
-    kept_gain: list[float] = []
-    for group in groups:
-        _, sigma, ok, _, gain = _evaluate(M, np.asarray(group, dtype=np.intp), cfg)
-        for t, row in enumerate(ok):
-            if gain[t] >= cfg.delta_threshold:
-                kept_tuples.append(group[row])
-                kept_sigma.append(float(sigma[row]))
-                kept_gain.append(float(gain[t]))
-    return _make_records(M, kept_tuples, kept_sigma, kept_gain)
+def _size_groups(tuples) -> list[list[int]]:
+    """Indices into tuples, one list per distinct length (ascending), input order within each."""
+    groups: dict[int, list[int]] = {}
+    for t, tup in enumerate(tuples):
+        groups.setdefault(len(tup), []).append(t)
+    return [groups[s] for s in sorted(groups)]
 
 
-def _make_records(M: NDArray[np.float64], member_tuples, sigmas, gains) -> list[measures.MultipoleRecord]:
-    """Records with self-canceling signs and weights, batched per size."""
-    order = sorted(range(len(member_tuples)), key=lambda t: (len(member_tuples[t]), t))
-    out: list = [None] * len(member_tuples)
-    for size, group in itertools.groupby(order, key=lambda t: len(member_tuples[t])):
-        grp = list(group)
-        sel = np.asarray([member_tuples[t] for t in grp], dtype=np.intp)
+def _make_records(M: NDArray[np.float64], found) -> list[measures.MultipoleRecord]:
+    """Records of (member tuple, sigma, gain) triples, with self-canceling signs
+    and weights, batched per size."""
+    out: list = [None] * len(found)
+    for grp in _size_groups([f[0] for f in found]):
+        sel = np.asarray([found[t][0] for t in grp], dtype=np.intp)
         values, vecs = linalg.eigh_many(_gather(M, sel), vectors=True)
         near = (values[:, 1] - values[:, 0]) < measures.DEGENERATE_GAP
         w = vecs[:, :, 0]
         signs = np.where(w < -measures.FLIP_EPS, -1, 1)
         weights = w * signs
         for row, t in enumerate(grp):
-            signed = measures.SignedSet.canonical(member_tuples[t], signs[row].tolist())
+            members, sigma, gain = found[t]
             out[t] = measures.MultipoleRecord(
-                signed=signed,
-                sigma=float(sigmas[t]),
-                gain=float(gains[t]),
+                signed=measures.SignedSet.canonical(members, signs[row].tolist()),
+                sigma=float(sigma),
+                gain=float(gain),
                 weights=tuple(float(x) for x in weights[row]),
                 maximal=False,
                 near_degenerate=bool(near[row]),
@@ -155,33 +142,23 @@ def _bits(m: int):
         b += 1
 
 
-def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
-    """Multipoles within one candidate set.
+def _descend(M: NDArray[np.float64], idx: tuple[int, ...], lam: float, mus, cfg: MinerConfig):
+    """(member tuple, sigma, gain) of every qualifying subset of idx of size
+    3..max_size, largest first.
 
-    If the candidate passes both thresholds (and the size cap) it is returned
-    alone. Otherwise, if its dependence clears sigma_threshold, subsets of
-    size 3..max_size are enumerated largest-first: a subset is skipped without
-    evaluation once any superset's dependence fell below the threshold
-    (dependence is monotone in set inclusion), and eigenvalues are memoized
-    per subset key. A candidate below sigma_threshold yields nothing.
+    idx's own smallest eigenvalue lam and deletion minima mus seed the memo.
+    Subsets are visited one size level at a time: a subset is evaluated only
+    while every superset one size up still reaches sigma_threshold
+    (dependence is monotone in set inclusion), and each subset's smallest
+    eigenvalue is solved once, also serving as a deletion eigenvalue of the
+    level above.
     """
-    M = measures._entries(A)
-    idx = candidate.members
     k = len(idx)
-    if k < 3:
-        raise ValueError(f"candidate needs at least 3 members, got {k}")
-    max_size = cfg.resolved_max_size()
-    smax = min(k, max_size)
-    lam, sigma, ok, mus, gain = _evaluate(M, np.asarray([idx], dtype=np.intp), cfg)
-    if ok.size == 0:
-        return []
-    if k <= max_size and gain[0] >= cfg.delta_threshold:
-        return _make_records(M, [idx], [sigma[0]], [gain[0]])
-
+    smax = min(k, cfg.resolved_max_size())
     full_mask = (1 << k) - 1
-    lam_memo: dict[int, float] = {full_mask: float(lam[0])}
+    lam_memo: dict[int, float] = {full_mask: lam}
     for b in range(k):
-        lam_memo[full_mask ^ (1 << b)] = float(mus[0, b])
+        lam_memo[full_mask ^ (1 << b)] = float(mus[b])
     alive_prev = [full_mask]
     pending: dict[int, list[int]] = {k: [full_mask] if k <= smax else []}
     results: list[tuple[int, float, float]] = []
@@ -210,11 +187,45 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
         if not alive_prev:
             break
     # size-3 pendings have their deletions at size 2, handled by the s=2 pass above
-    if not results:
-        return []
     results.sort(key=lambda r: (-bin(r[0]).count("1"), r[0]))
-    tuples = [tuple(idx[b] for b in _bits(m)) for m, _, _ in results]
-    return _make_records(M, tuples, [r[1] for r in results], [r[2] for r in results])
+    return [(tuple(idx[b] for b in _bits(m)), sigma, gain) for m, sigma, gain in results]
+
+
+def _extract(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: bool = True) -> list[measures.MultipoleRecord]:
+    """Multipoles within the sorted member tuples, in input order.
+
+    The tuples are screened in one stack per size. A tuple below
+    sigma_threshold yields nothing; one that also reaches delta_threshold
+    (within the size cap) is kept whole; any other is searched by _descend,
+    seeded with the screen's eigenvalues, unless descend is false (brute
+    force and random search score each subset as a whole only).
+    """
+    max_size = cfg.resolved_max_size()
+    found: dict[int, list] = {}  # input position -> its qualifying (members, sigma, gain)
+    for grp in _size_groups(member_tuples):
+        lam, sigma, ok, mus, gain = _evaluate(M, np.asarray([member_tuples[t] for t in grp], dtype=np.intp), cfg)
+        for row, r in enumerate(ok):
+            t = grp[r]
+            if len(member_tuples[t]) <= max_size and gain[row] >= cfg.delta_threshold:
+                found[t] = [(member_tuples[t], sigma[r], gain[row])]
+            elif descend:
+                found[t] = _descend(M, member_tuples[t], float(lam[r]), mus[row], cfg)
+    return _make_records(M, [f for t in sorted(found) for f in found[t]])
+
+
+def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
+    """Multipoles within one candidate set.
+
+    If the candidate passes both thresholds (and the size cap) it is returned
+    alone. Otherwise, if its dependence clears sigma_threshold, subsets of
+    size 3..max_size are searched largest-first with monotonicity pruning and
+    an eigenvalue memo. A candidate below sigma_threshold yields nothing.
+    Input is resolved and validated as in mine.
+    """
+    k = len(candidate.members)
+    if k < 3:
+        raise ValueError(f"candidate needs at least 3 members, got {k}")
+    return _extract(_resolve_matrix(A), [candidate.members], cfg)
 
 
 def _drop_contained(items, members_of) -> list:
@@ -268,7 +279,7 @@ def _dedup_candidates(g: graph.PromisingGraph, cliques) -> list[measures.SignedS
     return out
 
 
-def mine(data, cfg: MinerConfig, threads: int = 1) -> list[measures.MultipoleRecord]:
+def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     """All maximal multipoles of a standardized dataset (or correlation matrix;
     a raw array is validated as a CorrelationMatrix first).
 
@@ -276,10 +287,8 @@ def mine(data, cfg: MinerConfig, threads: int = 1) -> list[measures.MultipoleRec
     each candidate is searched for threshold-satisfying subsets; duplicates
     and non-maximal sets are removed; output is sorted by descending gain,
     then descending dependence, then members. Deterministic for fixed input
-    and config, independent of thread count.
+    and config.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     M = _resolve_matrix(data)
     g = graph.build_graph(M, cfg.rho)
     partial = False
@@ -289,15 +298,7 @@ def mine(data, cfg: MinerConfig, threads: int = 1) -> list[measures.MultipoleRec
         cliques = sorted(e.partial)
         partial = True
     candidates = _dedup_candidates(g, cliques)
-    if threads == 1 or len(candidates) < 2:
-        per_candidate = [extract_from_candidate(M, c, cfg) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_candidate = list(pool.map(lambda c: extract_from_candidate(M, c, cfg), candidates))
-    merged: list[measures.MultipoleRecord] = []
-    for recs in per_candidate:
-        merged.extend(recs)
-    final = _final_sort(remove_non_maximal(merged))
+    final = _final_sort(remove_non_maximal(_extract(M, [c.members for c in candidates], cfg)))
     if partial:
         raise MiningBudgetExceeded(
             f"clique budget of {cfg.clique_budget} exceeded after {len(candidates)} candidates; results are partial",
@@ -321,13 +322,12 @@ def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[
     if total > subset_budget:
         raise MiningBudgetExceeded(f"{total} subsets exceed the budget of {subset_budget}", records=[])
 
-    def chunks():
-        for s in range(3, smax + 1):
-            combos = list(itertools.combinations(range(n), s))
-            for start in range(0, len(combos), 50_000):
-                yield combos[start : start + 50_000]
-
-    return _final_sort(remove_non_maximal(_qualifying_records(M, chunks(), cfg)))
+    records: list[measures.MultipoleRecord] = []
+    for s in range(3, smax + 1):
+        combos = list(itertools.combinations(range(n), s))
+        for start in range(0, len(combos), 50_000):
+            records += _extract(M, combos[start : start + 50_000], cfg, descend=False)
+    return _final_sort(remove_non_maximal(records))
 
 
 def random_search(A, cfg: MinerConfig, trials: int) -> list[measures.MultipoleRecord]:
@@ -335,10 +335,11 @@ def random_search(A, cfg: MinerConfig, trials: int) -> list[measures.MultipoleRe
 
     No maximality filtering: the output approximates the full solution
     family, for use as a pseudo-complete reference on large instances.
+    Input is resolved and validated as in mine.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    M = measures._entries(A)
+    M = _resolve_matrix(A)
     n = M.shape[0]
     smax = min(n, cfg.resolved_max_size())
     rng = np.random.default_rng(cfg.seed)
@@ -350,9 +351,7 @@ def random_search(A, cfg: MinerConfig, trials: int) -> list[measures.MultipoleRe
         if subset not in seen:
             seen.add(subset)
             unique.append(subset)
-    order = sorted(range(len(unique)), key=lambda t: (len(unique[t]), t))
-    groups = ([unique[t] for t in grp] for _, grp in itertools.groupby(order, key=lambda t: len(unique[t])))
-    return _final_sort(_qualifying_records(M, groups, cfg))
+    return _final_sort(_extract(M, unique, cfg, descend=False))
 
 
 def records_to_dicts(records, names=None) -> list[dict]:
@@ -379,21 +378,28 @@ def write_dicts_json(dicts, path) -> None:
         fh.write("\n")
 
 
+def _joined(fmt):
+    return lambda values: ";".join(fmt(v) for v in values)
+
+
+# CSV column -> cell format of the entry's value under that key
+_CSV_COLUMNS = {
+    "members": _joined(str),
+    "signs": _joined(str),
+    "size": lambda v: v,
+    "linear_dependence": repr,
+    "linear_gain": repr,
+    "weights": _joined(repr),
+}
+
+
 def write_dicts_csv(dicts, path) -> None:
+    """One row per entry; a key the entry lacks (a members-only merge input) is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["members", "signs", "size", "linear_dependence", "linear_gain", "weights"])
+        writer.writerow(list(_CSV_COLUMNS))
         for d in dicts:
-            writer.writerow(
-                [
-                    ";".join(str(m) for m in d["members"]),
-                    ";".join(str(s) for s in d["signs"]),
-                    d["size"],
-                    repr(d["linear_dependence"]),
-                    repr(d["linear_gain"]),
-                    ";".join(repr(w) for w in d["weights"]),
-                ]
-            )
+            writer.writerow([fmt(d[key]) if key in d else "" for key, fmt in _CSV_COLUMNS.items()])
 
 
 def write_records_json(records, names, path) -> None:

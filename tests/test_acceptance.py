@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The whole workload runs twice inside a session fixture (worker threads 1 and
-8) and writes every criterion's output files into two directories; the final
-criterion byte-compares them. Assertions read the recorded results, so a
+The whole workload runs twice inside a session fixture and writes every
+criterion's output files into two directories; the final criterion
+byte-compares them. Assertions read the recorded results, so a
 failure in one criterion never hides the others.
 """
 
@@ -89,13 +89,13 @@ def c4_dataset(child):
     return dataset.standardize(d)
 
 
-def run_criterion_4(outdir, res, threads):
+def run_criterion_4(outdir, res):
     t0 = time.perf_counter()
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15, rho=1.0)
     equal = nonempty = 0
     for child in np.random.SeedSequence(8191).spawn(50):
         d = c4_dataset(child)
-        got = mine(d, cfg, threads=threads)
+        got = mine(d, cfg)
         want = brute_force(d, cfg)
         equal += got == want
         nonempty += bool(want)
@@ -109,7 +109,7 @@ def run_criterion_4(outdir, res, threads):
     write_json(outdir / "c4_oracle.json", res["c4"])
 
 
-def run_criterion_5(outdir, res, threads):
+def run_criterion_5(outdir, res):
     t0 = time.perf_counter()
     seeds = np.random.SeedSequence(20260819).spawn(4)
     mats = []
@@ -122,7 +122,7 @@ def run_criterion_5(outdir, res, threads):
     recovered = {}
     for rho in (-0.15, -0.14, -0.13, -0.12, -0.11, -0.10):
         cfg = MinerConfig(sigma_threshold=0.7, delta_threshold=0.1, rho=rho)
-        found = {r.members for r in mine(A, cfg, threads=threads)}
+        found = {r.members for r in mine(A, cfg)}
         recovered[f"{rho:.2f}"] = sum(1 for t in truth_sets if t in found)
     seconds = time.perf_counter() - t0
     res["c5"] = {"planted": len(truth_sets), "recovered": recovered, "seconds": seconds}
@@ -251,11 +251,11 @@ def run_criterion_8(outdir, res):
     write_json(outdir / "c8_significance.json", res["c8"])
 
 
-def run_all(outdir, threads):
+def run_all(outdir):
     res = {"summary": []}
     run_criteria_1_2_3(outdir, res)
-    run_criterion_4(outdir, res, threads)
-    run_criterion_5(outdir, res, threads)
+    run_criterion_4(outdir, res)
+    run_criterion_5(outdir, res)
     run_criterion_6(outdir, res)
     run_criterion_7(outdir, res)
     run_criterion_8(outdir, res)
@@ -263,16 +263,16 @@ def run_all(outdir, threads):
         k: v["seconds"] for k, v in res.items()
         if isinstance(v, dict) and "seconds" in v
     }
-    write_json(outdir / "timings.json", {"threads": threads, **timings})
+    write_json(outdir / "timings.json", timings)
     return res
 
 
 @pytest.fixture(scope="session")
 def workload(tmp_path_factory):
-    dir1 = tmp_path_factory.mktemp("acceptance_threads1")
-    dir2 = tmp_path_factory.mktemp("acceptance_threads8")
-    res1 = run_all(dir1, threads=1)
-    res2 = run_all(dir2, threads=8)
+    dir1 = tmp_path_factory.mktemp("acceptance_run1")
+    dir2 = tmp_path_factory.mktemp("acceptance_run2")
+    res1 = run_all(dir1)
+    res2 = run_all(dir2)
     return {"res": res1, "res2": res2, "dir1": dir1, "dir2": dir2}
 
 
@@ -396,7 +396,7 @@ def test_criterion_8_significance_controls(workload):
 
 def test_criterion_9_determinism(workload):
     dir1, dir2 = workload["dir1"], workload["dir2"]
-    # timings.json records wall time and thread count, varying by design
+    # timings.json records wall time, varying by design
     names1 = sorted(p.name for p in dir1.iterdir() if p.name != "timings.json")
     names2 = sorted(p.name for p in dir2.iterdir() if p.name != "timings.json")
     same_names = names1 == names2
@@ -407,8 +407,8 @@ def test_criterion_9_determinism(workload):
     ok = same_names and not diffs
     report(
         workload["res"], 9, ok,
-        f"{len(names1)} output files byte-identical across runs and "
-        f"thread counts {{1,8}}" + (f"; differing: {diffs}" if diffs else ""),
+        f"{len(names1)} output files byte-identical across two runs"
+        + (f"; differing: {diffs}" if diffs else ""),
     )
 
 

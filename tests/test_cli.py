@@ -51,24 +51,6 @@ def test_mine_rerun_is_byte_identical(tmp_path, planted_csv):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_mine_thread_flag_does_not_change_output(tmp_path, planted_csv):
-    path, _, _ = planted_csv
-    a = tmp_path / "t1.json"
-    b = tmp_path / "t8.json"
-    assert run(["mine", "--input", path, "--threads", "1", "--out", a]) == 0
-    assert run(["mine", "--input", path, "--threads", "8", "--out", b]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_mine_threads_env_fallback(tmp_path, planted_csv, monkeypatch):
-    path, _, _ = planted_csv
-    monkeypatch.setenv("MULTIPOLE_THREADS", "4")
-    out = tmp_path / "env.json"
-    assert run(["mine", "--input", path, "--out", out]) == 0
-    manifest = json.loads((tmp_path / "env.manifest.json").read_text())
-    assert manifest["config"]["threads"] == 4
-
-
 def test_mine_validation_exit_codes(tmp_path, planted_csv, capsys):
     path, _, _ = planted_csv
     out = tmp_path / "x.json"
@@ -127,6 +109,14 @@ def test_merge_rejects_malformed_members(tmp_path, capsys):
     bad.write_text(json.dumps([{"members": ["a", "b"]}]))
     assert run(["merge", "--inputs", bad, "--out", tmp_path / "merged.json"]) == 2
     assert "entry 0" in capsys.readouterr().err
+
+
+def test_merge_accepts_members_only_entries(tmp_path):
+    src = tmp_path / "bare.json"
+    src.write_text(json.dumps([{"members": ["a", "b", "c"]}]))
+    assert run(["merge", "--inputs", src, "--out", tmp_path / "merged.json"]) == 0
+    rows = (tmp_path / "merged.csv").read_text().splitlines()
+    assert rows[1:] == ["a;b;c,,,,,"]
 
 
 def test_sample_scatter_csv(tmp_path):

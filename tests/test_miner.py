@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from multipoles import dataset, linalg, measures, miner
+from multipoles import dataset, graph, linalg, measures, miner
 from multipoles.measures import MultipoleRecord, SignedSet
 from multipoles.miner import (
     MinerConfig,
@@ -31,7 +31,9 @@ def random_correlation(rng, k):
     g = rng.normal(size=(k, k + 3))
     cov = g @ g.T
     d = np.sqrt(np.diag(cov))
-    return cov / np.outer(d, d)
+    c = cov / np.outer(d, d)
+    np.fill_diagonal(c, 1.0)
+    return c
 
 
 def gaussian_dataset(cov, T, seed, extra_noise=0):
@@ -299,7 +301,11 @@ def malformed(kind):
     return a
 
 
-@pytest.mark.parametrize("search", [mine, brute_force])
+def random_search_10(A, cfg):
+    return random_search(A, cfg, trials=10)
+
+
+@pytest.mark.parametrize("search", [mine, brute_force, random_search_10])
 @pytest.mark.parametrize("kind", ["nan", "asymmetric", "scaled"])
 def test_raw_matrix_input_is_validated(search, kind):
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
@@ -358,10 +364,25 @@ def test_mine_soundness_reevaluated_via_measures():
         assert measures.linear_gain(A, sub) >= cfg.delta_threshold - 1e-9
 
 
-def test_mine_threads_do_not_change_output():
-    d = gaussian_dataset(equicorrelated(4, -0.3), T=500, seed=67, extra_noise=8)
-    cfg = MinerConfig(sigma_threshold=0.4, delta_threshold=0.05, rho=0.1)
-    assert mine(d, cfg, threads=1) == mine(d, cfg, threads=8)
+def test_mine_equals_per_candidate_extraction():
+    # the grouped screen in mine must give what extracting each candidate
+    # alone gives, over candidates of mixed sizes, some above max_size
+    cov = np.eye(7)
+    cov[np.ix_([0, 1, 2], [0, 1, 2])] = equicorrelated(3, -0.45)
+    cov[np.ix_([3, 4, 5, 6], [3, 4, 5, 6])] = equicorrelated(4, -0.3)
+    sizes = set()
+    for seed in (67, 68, 69):
+        d = gaussian_dataset(cov, T=400, seed=seed, extra_noise=6)
+        A = dataset.correlation_matrix(d)
+        for rho in (-0.05, 0.0):
+            cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.05, rho=rho, max_size=4)
+            g = graph.build_graph(A.entries, rho)
+            candidates = miner._dedup_candidates(g, graph.maximal_cliques(g, min_size=3))
+            sizes |= {len(c.members) for c in candidates}
+            per_candidate = [r for c in candidates for r in extract_from_candidate(A, c, cfg)]
+            want = miner._final_sort(remove_non_maximal(per_candidate))
+            assert want and mine(d, cfg) == want
+    assert {3, 4, 5} <= sizes
 
 
 def test_mine_clique_budget_carries_partial_results():
