@@ -68,7 +68,6 @@ def _miner_config(args) -> miner.MinerConfig:
         delta_threshold=args.delta,
         rho=args.rho,
         max_size=args.max_size,
-        seed=args.seed,
         clique_budget=args.clique_budget,
     )
 
@@ -100,7 +99,6 @@ def cmd_mine(args) -> int:
         "delta": cfg.delta_threshold,
         "rho": cfg.rho,
         "max_size": cfg.resolved_max_size(),
-        "seed": cfg.seed,
         "clique_budget": cfg.clique_budget,
         "detrend": args.detrend,
     }
@@ -132,12 +130,12 @@ def cmd_random(args) -> int:
     started = _utcnow()
     cfg = _miner_config(args)
     d = _load_standardized(args.input, args.detrend)
-    records = miner.random_search(d, cfg, trials=args.trials)
+    records = miner.random_search(d, cfg, trials=args.trials, seed=args.seed)
     config = {
         "sigma": cfg.sigma_threshold,
         "delta": cfg.delta_threshold,
         "max_size": cfg.resolved_max_size(),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "trials": args.trials,
         "detrend": args.detrend,
     }
@@ -316,7 +314,6 @@ def _add_common_miner_flags(p: argparse.ArgumentParser):
     p.add_argument("--sigma", type=float, default=0.5, help="linear dependence threshold, in [0,1]")
     p.add_argument("--delta", type=float, default=0.15, help="linear gain threshold, in (0,1]")
     p.add_argument("--max-size", type=int, default=None, help="largest set size, >= 3 (default: derived from delta)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed, any 64-bit integer")
     p.add_argument("--detrend", action="store_true", help="subtract least-squares linear trends before standardizing")
     p.add_argument("--out", required=True, help="output base path; writes .json, .csv, .manifest.json")
 
@@ -344,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="random-subset search", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common_miner_flags(p)
     p.add_argument("--trials", type=int, required=True, help="number of random subsets to draw, >= 0")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed, any 64-bit integer")
     p.set_defaults(func=cmd_random, rho=0.0, clique_budget=10_000_000)
 
     p = sub.add_parser("merge", help="union result files, dedup, drop non-maximal sets", formatter_class=argparse.ArgumentDefaultsHelpFormatter)

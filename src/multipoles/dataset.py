@@ -63,9 +63,10 @@ class TimeSeriesDataset:
 class CorrelationMatrix:
     """Symmetric unit-diagonal matrix with entries in [-1, 1], PSD within 1e-9.
 
-    The eigenvalue check runs only for dimensions up to 64 (the eigensolver
-    cap). Larger instances arise solely as Gram matrices of standardized
-    data, which are positive semidefinite by construction.
+    Every matrix given as entries is checked; the eigenvalue check runs only
+    for dimensions up to 64 (the eigensolver cap). correlation_matrix builds
+    its Gram matrices of standardized data, PSD by construction, without
+    the checks.
     """
 
     entries: NDArray[np.float64]
@@ -173,4 +174,7 @@ def correlation_matrix(d: TimeSeriesDataset) -> CorrelationMatrix:
     C = (C + C.T) / 2.0
     np.clip(C, -1.0, 1.0, out=C)
     np.fill_diagonal(C, 1.0)
-    return CorrelationMatrix(entries=C)
+    C.flags.writeable = False
+    A = object.__new__(CorrelationMatrix)  # PSD by construction: bypass the checks of __post_init__
+    object.__setattr__(A, "entries", C)
+    return A

@@ -45,17 +45,6 @@ class PromisingGraph:
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        adj = self.adjacency[a]
-        lo, hi = 0, len(adj)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if adj[mid] < b:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(adj) and adj[lo] == b
-
 
 def build_graph(A, rho: float) -> PromisingGraph:
     """Construct the dual-copy graph for a correlation matrix at threshold rho."""

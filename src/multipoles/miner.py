@@ -11,7 +11,6 @@ import csv as _csv
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,6 @@ class MinerConfig:
     delta_threshold: float = 0.15
     rho: float = 0.0
     max_size: int | None = None
-    seed: int = 0
     clique_budget: int = 10_000_000
 
     def __post_init__(self):
@@ -83,149 +81,105 @@ def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64
     return M[sel[:, :, None], sel[:, None, :]]
 
 
-def _evaluate(M: NDArray[np.float64], sel: NDArray[np.intp], cfg: MinerConfig):
-    """Score the member sets in the rows of sel: the subset-evaluation kernel.
-
-    Returns (lam, sigma, ok, mus, gain). lam and sigma cover every row; ok
-    holds the rows whose sigma clears cfg.sigma_threshold, and mus (deletion
-    eigenvalues) and gain are computed for those rows only, aligned with ok.
-    """
-    mats = _gather(M, sel)
-    lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-    sigma = measures._sigma_of(lam)
-    ok = np.nonzero(sigma >= cfg.sigma_threshold)[0]
-    if ok.size == 0:
-        return lam, sigma, ok, None, None
-    _, mus, gain = measures._gain_parts(mats[ok], lam[ok])
-    return lam, sigma, ok, mus, gain
+# Most matrices per eigh_many stack: the solver's scratch grows with the
+# stack, and only a brute-force level of 10^5 subsets comes near this.
+_STACK_ROWS = 1 << 15
 
 
-def _size_groups(tuples) -> list[list[int]]:
-    """Indices into tuples, one list per distinct length (ascending), input order within each."""
-    groups: dict[int, list[int]] = {}
-    for t, tup in enumerate(tuples):
-        groups.setdefault(len(tup), []).append(t)
-    return [groups[s] for s in sorted(groups)]
+def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]]) -> NDArray[np.float64]:
+    """Smallest eigenvalue of the principal submatrix of each same-size member tuple."""
+    sel = np.asarray(members, dtype=np.intp)
+    stacks = range(0, len(members), _STACK_ROWS)
+    lams = [linalg.eigh_many(_gather(M, sel[i : i + _STACK_ROWS]), vectors=False)[0][:, 0] for i in stacks]
+    return np.concatenate(lams or [np.empty(0)])
 
 
-def _make_records(M: NDArray[np.float64], found) -> list[measures.MultipoleRecord]:
-    """Records of (member tuple, sigma, gain) triples, with self-canceling signs
-    and weights, batched per size."""
-    out: list = [None] * len(found)
-    for grp in _size_groups([f[0] for f in found]):
-        sel = np.asarray([found[t][0] for t in grp], dtype=np.intp)
-        values, vecs = linalg.eigh_many(_gather(M, sel), vectors=True)
-        near = (values[:, 1] - values[:, 0]) < measures.DEGENERATE_GAP
-        w = vecs[:, :, 0]
-        signs = np.where(w < -measures.FLIP_EPS, -1, 1)
-        weights = w * signs
-        for row, t in enumerate(grp):
-            members, sigma, gain = found[t]
-            out[t] = measures.MultipoleRecord(
-                signed=measures.SignedSet.canonical(members, signs[row].tolist()),
-                sigma=float(sigma),
-                gain=float(gain),
-                weights=tuple(float(x) for x in weights[row]),
-                maximal=False,
-                near_degenerate=bool(near[row]),
-            )
-    return out
+def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma, gain) -> list[measures.MultipoleRecord]:
+    """Records of same-size member tuples with their sigma and gain; self-canceling
+    signs and weights come from one stack."""
+    values, vecs = linalg.eigh_many(_gather(M, np.asarray(members, dtype=np.intp)), vectors=True)
+    near = (values[:, 1] - values[:, 0]) < measures.DEGENERATE_GAP
+    w = vecs[:, :, 0]
+    signs = np.where(w < -measures.FLIP_EPS, -1, 1)
+    weights = w * signs
+    return [
+        measures.MultipoleRecord(
+            signed=measures.SignedSet.canonical(t, signs[row].tolist()),
+            sigma=float(sigma[row]),
+            gain=float(gain[row]),
+            weights=tuple(float(x) for x in weights[row]),
+            maximal=False,
+            near_degenerate=bool(near[row]),
+        )
+        for row, t in enumerate(members)
+    ]
 
 
-def _bits(m: int):
-    """Positions of the set bits of m, ascending."""
-    b = 0
-    while m:
-        if m & 1:
-            yield b
-        m >>= 1
-        b += 1
+def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: bool) -> list[measures.MultipoleRecord]:
+    """Records of the qualifying sets reached from the sorted member tuples, largest first.
 
-
-def _descend(M: NDArray[np.float64], idx: tuple[int, ...], lam: float, mus, cfg: MinerConfig):
-    """(member tuple, sigma, gain) of every qualifying subset of idx of size
-    3..max_size, largest first.
-
-    idx's own smallest eigenvalue lam and deletion minima mus seed the memo.
-    Subsets are visited one size level at a time: a subset is evaluated only
-    while every superset one size up still reaches sigma_threshold
-    (dependence is monotone in set inclusion), and each subset's smallest
-    eigenvalue is solved once, also serving as a deletion eigenvalue of the
-    level above.
-    """
-    k = len(idx)
-    smax = min(k, cfg.resolved_max_size())
-    full_mask = (1 << k) - 1
-    lam_memo: dict[int, float] = {full_mask: lam}
-    for b in range(k):
-        lam_memo[full_mask ^ (1 << b)] = float(mus[b])
-    alive_prev = [full_mask]
-    pending: dict[int, list[int]] = {k: [full_mask] if k <= smax else []}
-    results: list[tuple[int, float, float]] = []
-
-    for s in range(k - 1, 1, -1):
-        cnt: Counter[int] = Counter()
-        for m in alive_prev:
-            for b in _bits(m):
-                cnt[m ^ (1 << b)] += 1
-        eligible = sorted(m for m, c in cnt.items() if c == k - s)
-        needed = {m ^ (1 << b) for m in pending.get(s + 1, []) for b in _bits(m)}
-        eval_masks = sorted((set(eligible) | needed) - lam_memo.keys())
-        if eval_masks:
-            sel = np.asarray([[idx[b] for b in _bits(m)] for m in eval_masks], dtype=np.intp)
-            lam_s = linalg.eigh_many(_gather(M, sel), vectors=False)[0][:, 0]
-            lam_memo.update(zip(eval_masks, lam_s.tolist()))
-        for m in pending.get(s + 1, []):
-            lam_m = lam_memo[m]
-            mu = min(lam_memo[m ^ (1 << b)] for b in _bits(m))
-            gain_m = mu - lam_m
-            if gain_m >= cfg.delta_threshold:
-                results.append((m, float(measures._sigma_of(lam_m)), gain_m))
-        sig = measures._sigma_of(np.array([lam_memo[m] for m in eligible]))
-        alive_prev = [m for m, alive in zip(eligible, sig >= cfg.sigma_threshold) if alive]
-        pending[s] = alive_prev if 3 <= s <= smax else []
-        if not alive_prev:
-            break
-    # size-3 pendings have their deletions at size 2, handled by the s=2 pass above
-    results.sort(key=lambda r: (-bin(r[0]).count("1"), r[0]))
-    return [(tuple(idx[b] for b in _bits(m)), sigma, gain) for m, sigma, gain in results]
-
-
-def _extract(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: bool = True) -> list[measures.MultipoleRecord]:
-    """Multipoles within the sorted member tuples, in input order.
-
-    The tuples are screened in one stack per size. A tuple below
-    sigma_threshold yields nothing; one that also reaches delta_threshold
-    (within the size cap) is kept whole; any other is searched by _descend,
-    seeded with the screen's eigenvalues, unless descend is false (brute
-    force and random search score each subset as a whole only).
+    The subset lattice is walked one size level at a time, top down. A level
+    holds the given tuples of its size and the one-member deletions (children)
+    of the sigma-survivors one level up; each distinct tuple is solved once,
+    in one stack per level (up to _STACK_ROWS). A survivor's gain is its
+    children's smallest eigenvalue minus its own. Given tuples are scored at
+    their level; with descend, so is every child of a survivor, except below
+    a given tuple that qualifies whole (within the size cap), which is kept
+    whole. Dependence is monotone in set inclusion, so nothing below a
+    failing set can survive. Only two levels are held at a time.
     """
     max_size = cfg.resolved_max_size()
-    found: dict[int, list] = {}  # input position -> its qualifying (members, sigma, gain)
-    for grp in _size_groups(member_tuples):
-        lam, sigma, ok, mus, gain = _evaluate(M, np.asarray([member_tuples[t] for t in grp], dtype=np.intp), cfg)
-        for row, r in enumerate(ok):
-            t = grp[r]
-            if len(member_tuples[t]) <= max_size and gain[row] >= cfg.delta_threshold:
-                found[t] = [(member_tuples[t], sigma[r], gain[row])]
-            elif descend:
-                found[t] = _descend(M, member_tuples[t], float(lam[r]), mus[row], cfg)
-    return _make_records(M, [f for t in sorted(found) for f in found[t]])
+    given: dict[int, dict[tuple[int, ...], None]] = {}
+    for t in member_tuples:
+        given.setdefault(len(t), {})[t] = None
+    records: list[measures.MultipoleRecord] = []
+    # sigma-survivors one level up: members, smallest eigenvalue, sigma, reached by descent
+    up: list[tuple[int, ...]] = []
+    up_lam = up_sig = np.empty(0)
+    up_reached = np.empty(0, dtype=bool)
+    for s in range(max(given, default=2), 1, -1):
+        row = {t: i for i, t in enumerate(given.get(s, ()))}
+        n_given = len(row)
+        children = np.fromiter(
+            (row.setdefault(t[:i] + t[i + 1 :], len(row)) for t in up for i in range(s + 1)),
+            dtype=np.intp,
+            count=len(up) * (s + 1),
+        ).reshape(len(up), s + 1)
+        members = list(row)
+        lam = _lambda_min(M, members)
+        qualifies = np.zeros(len(up), dtype=bool)
+        if s < max_size:  # the survivors one level up are within the size cap
+            gain = lam[children].min(axis=1) - up_lam
+            qualifies = gain >= cfg.delta_threshold
+            if qualifies.any():
+                records += _make_records(M, [t for t, q in zip(up, qualifies) if q], up_sig[qualifies], gain[qualifies])
+        if s < 3:
+            break
+        scored = np.arange(len(members)) < n_given
+        reached = np.zeros(len(members), dtype=bool)
+        if descend:
+            reached[children[up_reached | ~qualifies]] = True
+        sig = measures._sigma_of(lam)
+        keep = np.nonzero((scored | reached) & (sig >= cfg.sigma_threshold))[0]
+        up = [members[i] for i in keep]
+        up_lam, up_sig, up_reached = lam[keep], sig[keep], reached[keep]
+    return records
 
 
 def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     """Multipoles within one candidate set.
 
     If the candidate passes both thresholds (and the size cap) it is returned
-    alone. Otherwise, if its dependence clears sigma_threshold, subsets of
-    size 3..max_size are searched largest-first with monotonicity pruning and
-    an eigenvalue memo. A candidate below sigma_threshold yields nothing.
-    Input is resolved and validated as in mine.
+    alone. Otherwise, if its dependence clears sigma_threshold, its subsets of
+    size 3..max_size are searched down the subset lattice, largest first, with
+    monotonicity pruning; each subset's smallest eigenvalue is solved once. A
+    candidate below sigma_threshold yields nothing. This is mine's extraction
+    on one candidate. Input is resolved and validated as in mine.
     """
     k = len(candidate.members)
     if k < 3:
         raise ValueError(f"candidate needs at least 3 members, got {k}")
-    return _extract(_resolve_matrix(A), [candidate.members], cfg)
+    return _lattice(_resolve_matrix(A), [candidate.members], cfg, descend=True)
 
 
 def _drop_contained(items, members_of) -> list:
@@ -298,7 +252,7 @@ def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
         cliques = sorted(e.partial)
         partial = True
     candidates = _dedup_candidates(g, cliques)
-    final = _final_sort(remove_non_maximal(_extract(M, [c.members for c in candidates], cfg)))
+    final = _final_sort(remove_non_maximal(_lattice(M, [c.members for c in candidates], cfg, descend=True)))
     if partial:
         raise MiningBudgetExceeded(
             f"clique budget of {cfg.clique_budget} exceeded after {len(candidates)} candidates; results are partial",
@@ -312,8 +266,10 @@ def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[
     """Evaluate every subset of sizes 3..max_size; the completeness oracle.
 
     No pruning and no graph: results are exactly the maximal threshold-
-    satisfying sets. Refuses instances whose subset count exceeds the budget.
-    Input is resolved and validated as in mine.
+    satisfying sets. Every subset enters the lattice at its size, so each is
+    solved once and also serves as a deletion of the sets one size up.
+    Refuses instances whose subset count exceeds the budget. Input is
+    resolved and validated as in mine.
     """
     M = _resolve_matrix(data)
     n = M.shape[0]
@@ -321,37 +277,30 @@ def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[
     total = sum(math.comb(n, s) for s in range(3, smax + 1))
     if total > subset_budget:
         raise MiningBudgetExceeded(f"{total} subsets exceed the budget of {subset_budget}", records=[])
-
-    records: list[measures.MultipoleRecord] = []
-    for s in range(3, smax + 1):
-        combos = list(itertools.combinations(range(n), s))
-        for start in range(0, len(combos), 50_000):
-            records += _extract(M, combos[start : start + 50_000], cfg, descend=False)
-    return _final_sort(remove_non_maximal(records))
+    subsets = (c for s in range(3, smax + 1) for c in itertools.combinations(range(n), s))
+    return _final_sort(remove_non_maximal(_lattice(M, subsets, cfg, descend=False)))
 
 
-def random_search(A, cfg: MinerConfig, trials: int) -> list[measures.MultipoleRecord]:
-    """Sample random subsets, keep the threshold-satisfying ones, dedup.
+def random_search(A, cfg: MinerConfig, trials: int, seed: int = 0) -> list[measures.MultipoleRecord]:
+    """Sample random subsets with the given seed, keep the threshold-satisfying
+    ones, dedup.
 
-    No maximality filtering: the output approximates the full solution
-    family, for use as a pseudo-complete reference on large instances.
-    Input is resolved and validated as in mine.
+    Only drawn sets are reported, never their subsets. No maximality
+    filtering: the output approximates the full solution family, for use as a
+    pseudo-complete reference on large instances. Input is resolved and
+    validated as in mine.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     M = _resolve_matrix(A)
     n = M.shape[0]
     smax = min(n, cfg.resolved_max_size())
-    rng = np.random.default_rng(cfg.seed)
-    seen: set[tuple[int, ...]] = set()
-    unique: list[tuple[int, ...]] = []
+    rng = np.random.default_rng(seed)
+    draws = []
     for _ in range(trials):
         size = int(rng.integers(3, smax + 1))
-        subset = tuple(int(x) for x in np.sort(rng.choice(n, size=size, replace=False)))
-        if subset not in seen:
-            seen.add(subset)
-            unique.append(subset)
-    return _final_sort(_extract(M, unique, cfg, descend=False))
+        draws.append(tuple(int(x) for x in np.sort(rng.choice(n, size=size, replace=False))))
+    return _final_sort(_lattice(M, draws, cfg, descend=False))
 
 
 def records_to_dicts(records, names=None) -> list[dict]:

@@ -29,13 +29,14 @@ def test_mine_writes_results_and_manifest(tmp_path, planted_csv):
     path, truth, names = planted_csv
     out = tmp_path / "r.json"
     code = run(["mine", "--input", path, "--sigma", "0.5", "--delta", "0.15",
-                "--rho", "0", "--seed", "7", "--out", out])
+                "--rho", "0", "--out", out])
     assert code == 0
     assert out.exists()
     assert (tmp_path / "r.csv").exists()
     manifest = json.loads((tmp_path / "r.manifest.json").read_text())
     assert manifest["command"] == "mine"
     assert manifest["partial"] is False
+    assert "seed" not in manifest["config"]
     recs = json.loads(out.read_text())
     assert len(recs) == 1
     assert sorted(recs[0]["members"]) == sorted(names[i] for i in truth)
@@ -79,6 +80,15 @@ def test_brute_matches_mine_at_rho_one(tmp_path, planted_csv):
     assert run(["mine", "--input", path, "--rho", "1", "--out", m]) == 0
     assert run(["brute", "--input", path, "--out", b]) == 0
     assert json.loads(m.read_text()) == json.loads(b.read_text())
+
+
+def test_seed_flag_only_on_random(tmp_path, planted_csv):
+    path, _, _ = planted_csv
+    for command in ("mine", "brute"):
+        with pytest.raises(SystemExit):
+            run([command, "--input", path, "--seed", "7", "--out", tmp_path / command])
+    assert run(["random", "--input", path, "--trials", "10", "--seed", "7", "--out", tmp_path / "r"]) == 0
+    assert json.loads((tmp_path / "r.manifest.json").read_text())["config"]["seed"] == 7
 
 
 def test_random_zero_trials(tmp_path, planted_csv):

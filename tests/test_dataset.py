@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from multipoles import linalg
 from multipoles.dataset import (
     CorrelationMatrix,
     TimeSeriesDataset,
@@ -64,6 +65,17 @@ def test_correlation_matrix_validation():
     np.fill_diagonal(indef, 1.0)
     with pytest.raises(ValueError, match="PSD"):
         CorrelationMatrix(entries=indef)
+
+
+def test_correlation_matrix_skips_the_eigen_check(monkeypatch):
+    # a Gram matrix of standardized data is PSD by construction
+    calls = []
+    monkeypatch.setattr(linalg, "eigh_many", lambda *args, **kwargs: calls.append(args))
+    raw = np.random.default_rng(5).normal(size=(50, 6))
+    A = correlation_matrix(standardize(make_dataset(raw)))
+    assert calls == []
+    assert A.dim == 6 and np.all(np.diag(A.entries) == 1.0)
+    assert not A.entries.flags.writeable
 
 
 # ---------------------------------------------------------------- csv

@@ -75,21 +75,21 @@ def test_build_graph_edge_rules():
     assert g.n_nodes == 6
     n = 3
     # within copy 1: only the negative pair
-    assert g.has_edge(0, 1)
-    assert not g.has_edge(0, 2)
-    assert not g.has_edge(1, 2)
+    assert 1 in g.adjacency[0]
+    assert 2 not in g.adjacency[0]
+    assert 2 not in g.adjacency[1]
     # copies are isomorphic
-    assert g.has_edge(n + 0, n + 1)
-    assert not g.has_edge(n + 0, n + 2)
+    assert n + 1 in g.adjacency[n + 0]
+    assert n + 2 not in g.adjacency[n + 0]
     # cross edges where corr >= 0, never between copies of one variable
-    assert g.has_edge(0, n + 2)
-    assert g.has_edge(1, n + 2)
-    assert not g.has_edge(0, n + 1)
-    assert not g.has_edge(0, n + 0)
+    assert n + 2 in g.adjacency[0]
+    assert n + 2 in g.adjacency[1]
+    assert n + 1 not in g.adjacency[0]
+    assert n + 0 not in g.adjacency[0]
     # the promised 3-clique {v1_0, v1_1, v2_2}
     clique = {0, 1, n + 2}
     assert all(
-        g.has_edge(i, j) for i, j in itertools.combinations(sorted(clique), 2)
+        j in g.adjacency[i] for i, j in itertools.combinations(sorted(clique), 2)
     )
 
 
@@ -103,9 +103,9 @@ def test_build_graph_all_negative():
     g = build_graph(equicorrelated(4, -0.1), rho=0.0)
     # each copy is complete, no cross edges
     for i, j in itertools.combinations(range(4), 2):
-        assert g.has_edge(i, j)
-        assert g.has_edge(4 + i, 4 + j)
-        assert not g.has_edge(i, 4 + j)
+        assert j in g.adjacency[i]
+        assert 4 + j in g.adjacency[4 + i]
+        assert 4 + j not in g.adjacency[i]
     assert sorted(maximal_cliques(g)) == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
@@ -237,7 +237,7 @@ def test_graph_is_complete_for_witnessed_subsets():
                     m if sg > 0 else m + 8 for m, sg in zip(w.members, w.signs)
                 ]
                 assert all(
-                    g.has_edge(i, j)
+                    j in g.adjacency[i]
                     for i, j in itertools.combinations(sorted(nodes), 2)
                 )
 

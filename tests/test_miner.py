@@ -4,6 +4,7 @@ oracle equivalence against exhaustive search."""
 import itertools
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ def gaussian_dataset(cov, T, seed, extra_noise=0):
     return dataset.standardize(
         dataset.TimeSeriesDataset(names=names, values=x)
     )
+
+
+def two_blocks():
+    """Covariance of a 3-block at -0.45 and a 4-block at -0.3 on 7 variables."""
+    cov = np.eye(7)
+    cov[np.ix_([0, 1, 2], [0, 1, 2])] = equicorrelated(3, -0.45)
+    cov[np.ix_([3, 4, 5, 6], [3, 4, 5, 6])] = equicorrelated(4, -0.3)
+    return cov
 
 
 def record_for(A, members, signs=None):
@@ -365,14 +374,11 @@ def test_mine_soundness_reevaluated_via_measures():
 
 
 def test_mine_equals_per_candidate_extraction():
-    # the grouped screen in mine must give what extracting each candidate
+    # the lattice mine shares across candidates must give what extracting each candidate
     # alone gives, over candidates of mixed sizes, some above max_size
-    cov = np.eye(7)
-    cov[np.ix_([0, 1, 2], [0, 1, 2])] = equicorrelated(3, -0.45)
-    cov[np.ix_([3, 4, 5, 6], [3, 4, 5, 6])] = equicorrelated(4, -0.3)
     sizes = set()
     for seed in (67, 68, 69):
-        d = gaussian_dataset(cov, T=400, seed=seed, extra_noise=6)
+        d = gaussian_dataset(two_blocks(), T=400, seed=seed, extra_noise=6)
         A = dataset.correlation_matrix(d)
         for rho in (-0.05, 0.0):
             cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.05, rho=rho, max_size=4)
@@ -383,6 +389,30 @@ def test_mine_equals_per_candidate_extraction():
             want = miner._final_sort(remove_non_maximal(per_candidate))
             assert want and mine(d, cfg) == want
     assert {3, 4, 5} <= sizes
+
+
+@pytest.mark.parametrize("search", ["mine", "brute"])
+def test_no_member_set_is_solved_twice(monkeypatch, search):
+    # one lattice with one memo: overlapping candidates, and brute force's
+    # subsets and their deletions, share every eigenvalue solve
+    if search == "mine":
+        data = gaussian_dataset(two_blocks(), T=400, seed=68, extra_noise=6)
+        cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.05, rho=0.05, max_size=4)
+    else:
+        # validated first: its PSD check solves the full 8-set
+        data = dataset.CorrelationMatrix(entries=random_correlation(np.random.default_rng(73), 8))
+        cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.01)
+    solved = Counter()
+    eigh_many = linalg.eigh_many
+
+    def counting(mats, vectors=True):
+        if not vectors:
+            solved.update(m.tobytes() for m in mats)
+        return eigh_many(mats, vectors)
+
+    monkeypatch.setattr(linalg, "eigh_many", counting)
+    assert (mine if search == "mine" else brute_force)(data, cfg)
+    assert max(solved.values()) == 1
 
 
 def test_mine_clique_budget_carries_partial_results():
@@ -427,16 +457,25 @@ def test_random_search_zero_trials():
 def test_random_search_finds_planted_triple():
     a = np.eye(10)
     a[np.ix_([2, 5, 7], [2, 5, 7])] = equicorrelated(3, -0.5)
-    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15, seed=70)
-    recs = random_search(a, cfg, trials=100_000)
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
+    recs = random_search(a, cfg, trials=100_000, seed=70)
     assert [r.members for r in recs] == [(2, 5, 7)]
 
 
 def test_random_search_is_deterministic():
     rng = np.random.default_rng(71)
     a = random_correlation(rng, 8)
-    cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.01, seed=72)
-    assert random_search(a, cfg, trials=5000) == random_search(a, cfg, trials=5000)
+    cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.01)
+    assert random_search(a, cfg, trials=5000, seed=72) == random_search(a, cfg, trials=5000, seed=72)
+
+
+def test_random_search_reports_only_drawn_sets():
+    # (0, 1, 2) qualifies; the 4-set around it clears sigma but has gain 0
+    a = np.eye(4)
+    a[:3, :3] = equicorrelated(3, -0.5)
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
+    assert random_search(a, cfg, trials=1, seed=2) == []  # the one draw is the 4-set
+    assert [r.members for r in random_search(a, cfg, trials=50, seed=2)] == [(0, 1, 2)]
 
 
 # ---------------------------------------------------------------- io
