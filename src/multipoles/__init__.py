@@ -14,7 +14,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .dataset import CorrelationMatrix, TimeSeriesDataset, correlation_matrix, load_csv, standardize
-from .linalg import EigenResult, NotPositiveDefiniteError, cholesky, eigen_symmetric, is_psd, min_eigenpair
+from .linalg import EigenResult, NotPositiveDefiniteError, cholesky, min_eigenpair
 from .measures import (
     CanonicalForm,
     MultipoleRecord,
@@ -30,11 +30,9 @@ from .bounds import BoundReport, bound_report, check_bounds, max_size_for_gain
 from .graph import CliqueBudgetExceeded, PromisingGraph, build_graph, clique_to_signed_set, maximal_cliques
 from .miner import MinerConfig, MiningBudgetExceeded, brute_force, extract_from_candidate, mine, random_search, remove_non_maximal
 from .stats import (
-    NullDistribution,
     ScatterSample,
     member_contribution,
     reproducibility,
-    sample_correlation_matrices,
     sample_planted_matrices,
     scatter,
     significance_sigma,
@@ -50,10 +48,8 @@ __all__ = [
     "correlation_matrix",
     "EigenResult",
     "NotPositiveDefiniteError",
-    "eigen_symmetric",
     "min_eigenpair",
     "cholesky",
-    "is_psd",
     "SignedSet",
     "CanonicalForm",
     "MultipoleRecord",
@@ -79,9 +75,7 @@ __all__ = [
     "remove_non_maximal",
     "brute_force",
     "random_search",
-    "NullDistribution",
     "ScatterSample",
-    "sample_correlation_matrices",
     "sample_planted_matrices",
     "scatter",
     "synth_dataset",

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine maximal multipoles from a CSV dataset", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common_miner_flags(p)
     p.add_argument("--rho", type=float, default=0.0, help="graph correlation threshold, in [-1,1]")
-    p.add_argument("--clique-budget", type=int, default=10_000_000, help="abort after this many maximal cliques, >= 1")
+    p.add_argument("--clique-budget", type=int, default=10_000_000, help="abort after this many maximal cliques, one per mirror pair, >= 1")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("brute", help="exhaustive subset search (oracle)", formatter_class=argparse.ArgumentDefaultsHelpFormatter)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +125,8 @@ def load_csv(path) -> TimeSeriesDataset:
                 try:
                     x = float(cell)
                 except ValueError:
-                    raise ValueError(f"{path}: non-finite value at row {r}, column {c}") from None
-                if not np.isfinite(x):
+                    x = math.nan
+                if not math.isfinite(x):
                     raise ValueError(f"{path}: non-finite value at row {r}, column {c}")
                 parsed.append(x)
             rows.append(parsed)

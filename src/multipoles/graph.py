@@ -6,6 +6,8 @@ require corr >= -rho, and a variable is never connected to its own mirror.
 A clique then names a set of variables together with a sign assignment
 under which every adjusted pairwise correlation is at most rho, and the
 mirror image of a clique (both copies swapped) names the same assignment.
+Enumeration therefore reports one clique of each mirror pair: the one whose
+lowest variable is in copy 1.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ class PromisingGraph:
     def n_nodes(self) -> int:
         return 2 * self.n_variables
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
 
 def build_graph(A, rho: float) -> PromisingGraph:
     """Construct the dual-copy graph for a correlation matrix at threshold rho."""
@@ -64,41 +63,20 @@ def build_graph(A, rho: float) -> PromisingGraph:
     return PromisingGraph(n_variables=n, rho=float(rho), adjacency=adjacency)
 
 
-def _degeneracy_order(g: PromisingGraph) -> list[int]:
-    """Peel minimum-degree nodes, ties broken by ascending node id."""
-    n = g.n_nodes
-    deg = [g.degree(v) for v in range(n)]
-    removed = [False] * n
-    buckets: list[set[int]] = [set() for _ in range(n + 1)]
-    for v in range(n):
-        buckets[deg[v]].add(v)
-    order = []
-    cursor = 0
-    for _ in range(n):
-        while cursor < len(buckets) and not buckets[cursor]:
-            cursor += 1
-        v = min(buckets[cursor])
-        buckets[cursor].remove(v)
-        removed[v] = True
-        order.append(v)
-        for u in g.adjacency[v]:
-            if not removed[u]:
-                buckets[deg[u]].remove(u)
-                deg[u] -= 1
-                buckets[deg[u]].add(u)
-                if deg[u] < cursor:
-                    cursor = deg[u]
-    return order
-
-
 def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: int = 10_000_000) -> list[tuple[int, ...]]:
-    """All maximal cliques of at least min_size nodes, canonically sorted.
+    """Maximal cliques of at least min_size nodes, one per mirror pair, canonically sorted.
 
-    Degeneracy-ordered Bron-Kerbosch with pivoting. Exceeding the clique
-    budget raises CliqueBudgetExceeded carrying the partial list.
+    The graph is assumed mirror-symmetric, as build_graph makes it, so the
+    mirror of a maximal clique is one too. Of the two, exactly one has its
+    lowest variable in copy 1, and only that one is reported. Bron-Kerbosch
+    with pivoting is rooted at each copy-1 node v in variable order, with
+    the neighbours of higher variable as candidates and those of lower
+    variable as excluded. Exceeding the clique budget raises
+    CliqueBudgetExceeded carrying the partial list.
     """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
+    n = g.n_variables
     neighbors = [frozenset(a) for a in g.adjacency]
     found: list[tuple[int, ...]] = []
 
@@ -117,11 +95,9 @@ def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: int = 10_000_0
             p.remove(v)
             x.add(v)
 
-    order = _degeneracy_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {u for u in g.adjacency[v] if pos[u] > pos[v]}
-        earlier = {u for u in g.adjacency[v] if pos[u] < pos[v]}
+    for v in range(n):
+        later = {u for u in g.adjacency[v] if u % n > v}
+        earlier = {u for u in g.adjacency[v] if u % n < v}
         expand([v], later, earlier)
     found.sort()
     return found

@@ -1,4 +1,4 @@
-"""Dense symmetric kernels for small matrices: eigen-decomposition, Cholesky, PSD test.
+"""Dense symmetric kernels for small matrices: eigen-decomposition and Cholesky.
 
 The eigensolver is a cyclic Jacobi sweep with a fixed row-major rotation
 order. Matrices here are correlation submatrices, rarely beyond a dozen
@@ -187,18 +187,6 @@ def _eigh2(A: NDArray[np.float64], vectors: bool) -> tuple[NDArray[np.float64], 
     return values, _orient(V)
 
 
-def eigen_symmetric(A) -> list[tuple[float, NDArray[np.float64]]]:
-    """Full eigen-decomposition of a symmetric matrix, ascending eigenvalues.
-
-    Returns a list of ``(eigenvalue, unit eigenvector)`` pairs. Asymmetry
-    beyond 1e-9 is rejected; smaller asymmetry is averaged away.
-    """
-    M = _as_square(A, sym_tol=1e-9)
-    values, vecs = eigh_many(M[None, :, :], vectors=True)
-    assert vecs is not None
-    return [(float(values[0, i]), vecs[0, :, i].copy()) for i in range(M.shape[0])]
-
-
 def min_eigenpair(A) -> EigenResult:
     """Smallest eigenvalue and its canonically oriented unit eigenvector."""
     M = _as_square(A, sym_tol=1e-9)
@@ -224,10 +212,3 @@ def cholesky(A) -> NDArray[np.float64]:
         if j + 1 < k:
             L[j + 1 :, j] = (M[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
     return L
-
-
-def is_psd(A, tol: float = 1e-10) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    M = _as_square(A, sym_tol=1e-9)
-    values, _ = eigh_many(M[None, :, :], vectors=False)
-    return bool(values[0, 0] >= -tol)

@@ -215,33 +215,25 @@ def _final_sort(records) -> list[measures.MultipoleRecord]:
     return sorted(records, key=lambda r: (-r.gain, -r.sigma, r.signed))
 
 
-def _dedup_candidates(g: graph.PromisingGraph, cliques) -> list[measures.SignedSet]:
-    """Signed sets for cliques, one per distinct member set.
+def _dedup_candidates(g: graph.PromisingGraph, cliques) -> list[tuple[int, ...]]:
+    """Sorted member tuples of the cliques, each distinct one once, in first-seen order.
 
-    Mirror cliques share a canonical signed set, and candidates with equal
-    members but different signs extract identically (both thresholds are
-    sign-invariant), so the first occurrence represents them all.
+    Cliques with equal members but different signs extract identically (both
+    thresholds are sign-invariant), so the signs are dropped.
     """
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for cl in cliques:
-        ss = graph.clique_to_signed_set(g, cl)
-        if ss.members in seen:
-            continue
-        seen.add(ss.members)
-        out.append(ss)
-    return out
+    n = g.n_variables
+    return list(dict.fromkeys(tuple(sorted(v % n for v in c)) for c in cliques))
 
 
 def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     """All maximal multipoles of a standardized dataset (or correlation matrix;
     a raw array is validated as a CorrelationMatrix first).
 
-    Candidates come from maximal cliques of the dual-copy graph at cfg.rho;
-    each candidate is searched for threshold-satisfying subsets; duplicates
-    and non-maximal sets are removed; output is sorted by descending gain,
-    then descending dependence, then members. Deterministic for fixed input
-    and config.
+    Candidates are the member sets of the maximal cliques of the dual-copy
+    graph at cfg.rho (one clique per mirror pair); each candidate is searched
+    for threshold-satisfying subsets; duplicates and non-maximal sets are
+    removed; output is sorted by descending gain, then descending dependence,
+    then members. Deterministic for fixed input and config.
     """
     M = _resolve_matrix(data)
     g = graph.build_graph(M, cfg.rho)
@@ -252,7 +244,7 @@ def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
         cliques = sorted(e.partial)
         partial = True
     candidates = _dedup_candidates(g, cliques)
-    final = _final_sort(remove_non_maximal(_lattice(M, [c.members for c in candidates], cfg, descend=True)))
+    final = _final_sort(remove_non_maximal(_lattice(M, candidates, cfg, descend=True)))
     if partial:
         raise MiningBudgetExceeded(
             f"clique budget of {cfg.clique_budget} exceeded after {len(candidates)} candidates; results are partial",

@@ -9,7 +9,7 @@ run is a prefix of a longer one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,33 +27,6 @@ class ScatterSample:
     k: int
     gain: float
     rho_s: float
-
-
-@dataclass(frozen=True)
-class NullDistribution:
-    """Sorted linear-dependence values from random variable sets.
-
-    Querying p-values is only meaningful with a reasonably large sample;
-    p_value refuses below 1000.
-    """
-
-    sample_count: int
-    sorted_sigmas: tuple[float, ...]
-    set_size: int
-
-    def __post_init__(self):
-        if self.sample_count != len(self.sorted_sigmas):
-            raise ValueError("sample_count does not match the number of sigmas")
-        arr = np.asarray(self.sorted_sigmas)
-        if arr.size and (np.any(arr[:-1] > arr[1:]) or arr[0] < 0.0 or arr[-1] > 1.0):
-            raise ValueError("sigmas must be ascending and within [0, 1]")
-
-    def p_value(self, candidate_sigma: float) -> float:
-        if self.sample_count < 1000:
-            raise ValueError(f"need at least 1000 null samples for a p-value, have {self.sample_count}")
-        arr = np.asarray(self.sorted_sigmas)
-        count_ge = self.sample_count - int(np.searchsorted(arr, candidate_sigma, side="left"))
-        return (1 + count_ge) / (self.sample_count + 1)
 
 
 def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
@@ -78,13 +51,6 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
         chunks.append(accepted)
         have += accepted.shape[0]
     return np.concatenate(chunks, axis=0)[:count]
-
-
-def sample_correlation_matrices(k: int, count: int, seed) -> Iterator[dataset.CorrelationMatrix]:
-    """Stream of random PSD correlation matrices; deterministic per seed."""
-    stack = _accepted_stack(k, count, seed)
-    for t in range(stack.shape[0]):
-        yield dataset.CorrelationMatrix(entries=stack[t])
 
 
 def scatter(k: int, count: int, seed) -> list[ScatterSample]:

@@ -95,11 +95,13 @@ def test_load_csv_roundtrip(tmp_path):
 
 def test_load_csv_reports_nan_position(tmp_path):
     p = tmp_path / "bad.csv"
-    rows = ["a,b,c"] + ["1,2,3"] * 10
-    rows[5] = "1,NaN,3"  # data row 5, column 2
-    p.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="row 5, column 2"):
-        load_csv(p)
+    for cell in ("NaN", "inf", "-inf", "1e999", "abc"):
+        rows = ["a,b,c"] + ["1,2,3"] * 10
+        rows[5] = f"1,{cell},3"  # data row 5, column 2
+        rows[7] = "1,2"  # a later short row is reported after it
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="non-finite value at row 5, column 2"):
+            load_csv(p)
 
 
 def test_load_csv_rejects_duplicate_header(tmp_path):

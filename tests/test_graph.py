@@ -45,10 +45,14 @@ def graph_from_edges(n, edges):
     )
 
 
-def mirrored(n, cliques):
-    """The expected enumeration output: each clique plus its copy-2 image."""
-    out = list(cliques) + [tuple(v + n for v in c) for c in cliques]
-    return sorted(out)
+def mirror(n, clique):
+    """The clique with both copies swapped."""
+    return tuple(sorted((v + n) % (2 * n) for v in clique))
+
+
+def lowest_in_copy_one(n, cliques):
+    """The cliques whose lowest variable is a copy-1 node: one per mirror pair."""
+    return [c for c in cliques if min(c, key=lambda v: v % n) < n]
 
 
 def brute_maximal_cliques(n_nodes, adj):
@@ -106,7 +110,7 @@ def test_build_graph_all_negative():
         assert j in g.adjacency[i]
         assert 4 + j in g.adjacency[4 + i]
         assert 4 + j not in g.adjacency[i]
-    assert sorted(maximal_cliques(g)) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert maximal_cliques(g) == [(0, 1, 2, 3)]
 
 
 def test_build_graph_rejects_bad_rho():
@@ -129,29 +133,29 @@ def test_adjacency_is_symmetric_and_sorted():
 
 def test_triangle():
     g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert maximal_cliques(g) == mirrored(3, [(0, 1, 2)])
+    assert maximal_cliques(g) == [(0, 1, 2)]
 
 
 def test_path():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
-    assert maximal_cliques(g) == mirrored(3, [(0, 1), (1, 2)])
+    assert maximal_cliques(g) == [(0, 1), (1, 2)]
 
 
 def test_five_cycle():
     g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    cliques = [c for c in maximal_cliques(g) if c[0] < 5]
+    cliques = maximal_cliques(g)
     assert len(cliques) == 5
     assert all(len(c) == 2 for c in cliques)
 
 
 def test_min_size_filter():
     g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert maximal_cliques(g, min_size=3) == mirrored(4, [(0, 1, 2)])
+    assert maximal_cliques(g, min_size=3) == [(0, 1, 2)]
 
 
 def test_isolated_nodes_are_their_own_cliques():
     g = graph_from_edges(3, [(0, 1)])
-    assert maximal_cliques(g) == mirrored(3, [(0, 1), (2,)])
+    assert maximal_cliques(g) == [(0, 1), (2,)]
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -165,7 +169,13 @@ def test_matches_brute_force_on_random_graphs():
         ]
         g = graph_from_edges(n, edges)
         adj = [set(nbrs) for nbrs in g.adjacency]
-        assert maximal_cliques(g) == brute_maximal_cliques(2 * n, adj)
+        assert maximal_cliques(g) == lowest_in_copy_one(n, brute_maximal_cliques(2 * n, adj))
+    # signed graphs, whose cross-copy edges make cliques span both copies
+    for _ in range(10):
+        n = int(rng.integers(3, 7))
+        g = build_graph(random_correlation(rng, n), rho=float(rng.uniform(-0.1, 0.3)))
+        adj = [set(nbrs) for nbrs in g.adjacency]
+        assert maximal_cliques(g) == lowest_in_copy_one(n, brute_maximal_cliques(2 * n, adj))
 
 
 def test_budget_exceeded_carries_partial_results():
@@ -248,5 +258,7 @@ def test_mirror_pairing_halves_clique_count():
         a = random_correlation(rng, 6)
         g = build_graph(a, rho=0.0)
         cliques = [c for c in maximal_cliques(g) if len(c) >= 3]
+        listed = set(cliques)
+        assert not any(mirror(6, c) in listed for c in cliques)
         distinct = {clique_to_signed_set(g, c) for c in cliques}
-        assert len(cliques) == 2 * len(distinct)
+        assert len(cliques) == len(distinct)

@@ -8,9 +8,7 @@ from multipoles.linalg import (
     EigenResult,
     NotPositiveDefiniteError,
     cholesky,
-    eigen_symmetric,
     eigh_many,
-    is_psd,
     min_eigenpair,
 )
 
@@ -93,10 +91,10 @@ def test_equicorrelated_triple_spectrum():
 def test_eigen_symmetric_and_min_eigenpair():
     rng = np.random.default_rng(15)
     a = random_symmetric(rng, 1, 5)[0]
-    pairs = eigen_symmetric(a)
+    vals, vecs = eigh_many(a[None], vectors=True)
     ref_vals, _ = np.linalg.eigh(a)
-    assert np.allclose([w for w, _ in pairs], ref_vals, atol=1e-9)
-    for w, v in pairs:
+    assert np.allclose(vals[0], ref_vals, atol=1e-9)
+    for w, v in zip(vals[0], vecs[0].T):
         assert np.allclose(a @ v, w * v, atol=1e-8)
     res = min_eigenpair(a)
     assert isinstance(res, EigenResult)
@@ -228,11 +226,14 @@ def test_cholesky_rejects_singular():
 
 
 def test_is_psd():
-    assert is_psd(np.eye(4))
-    assert is_psd(np.ones((3, 3)))  # rank one, eigenvalues {0, 0, 3}
+    # PSD within 1e-10 is a smallest eigenvalue >= -1e-10, as the sampler tests it
     a = np.full((3, 3), -0.9)
     np.fill_diagonal(a, 1.0)
-    assert not is_psd(a)  # lambda_min = -0.8
     b = np.full((3, 3), -0.5)
     np.fill_diagonal(b, 1.0)
-    assert is_psd(b, tol=1e-10)  # lambda_min = 0
+    vals, _ = eigh_many(np.stack([np.eye(3), np.ones((3, 3)), a, b]))
+    lam = vals[:, 0]
+    assert lam[0] == 1.0
+    assert lam[1] >= -1e-10  # rank one, eigenvalues {0, 0, 3}
+    assert lam[2] == pytest.approx(-0.8)
+    assert lam[3] >= -1e-10  # lambda_min = 0

@@ -373,6 +373,14 @@ def test_mine_soundness_reevaluated_via_measures():
         assert measures.linear_gain(A, sub) >= cfg.delta_threshold - 1e-9
 
 
+def test_dedup_candidates_keeps_each_member_set_once():
+    # cliques of one member set with different signs are one candidate, as a
+    # sorted tuple of variables, in the order first seen
+    g = graph.build_graph(np.eye(4), rho=0.0)
+    cliques = [(1, 2, 7), (0, 5, 6), (1, 6, 7), (0, 1, 2), (2, 5, 7)]
+    assert miner._dedup_candidates(g, cliques) == [(1, 2, 3), (0, 1, 2)]
+
+
 def test_mine_equals_per_candidate_extraction():
     # the lattice mine shares across candidates must give what extracting each candidate
     # alone gives, over candidates of mixed sizes, some above max_size
@@ -384,8 +392,10 @@ def test_mine_equals_per_candidate_extraction():
             cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.05, rho=rho, max_size=4)
             g = graph.build_graph(A.entries, rho)
             candidates = miner._dedup_candidates(g, graph.maximal_cliques(g, min_size=3))
-            sizes |= {len(c.members) for c in candidates}
-            per_candidate = [r for c in candidates for r in extract_from_candidate(A, c, cfg)]
+            sizes |= {len(c) for c in candidates}
+            per_candidate = [
+                r for c in candidates for r in extract_from_candidate(A, SignedSet(members=c, signs=(1,) * len(c)), cfg)
+            ]
             want = miner._final_sort(remove_non_maximal(per_candidate))
             assert want and mine(d, cfg) == want
     assert {3, 4, 5} <= sizes

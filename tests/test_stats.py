@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from multipoles import dataset, measures, stats
+from multipoles import dataset, linalg, measures, stats
 from multipoles.stats import (
-    NullDistribution,
     member_contribution,
     reproducibility,
-    sample_correlation_matrices,
     sample_planted_matrices,
     scatter,
     significance_sigma,
@@ -34,23 +32,22 @@ def noise_pool(n_windows, N, T, seed):
 
 
 def test_sampler_is_deterministic():
-    a = list(sample_correlation_matrices(3, 20, seed=80))
-    b = list(sample_correlation_matrices(3, 20, seed=80))
-    for x, y in zip(a, b):
-        assert np.array_equal(x.entries, y.entries)
+    a = stats._accepted_stack(3, 20, seed=80)
+    b = stats._accepted_stack(3, 20, seed=80)
+    assert a.shape == (20, 3, 3)
+    assert np.array_equal(a, b)
 
 
 def test_sampler_prefix_stability():
     # the first matrices do not depend on how many are requested
-    a = list(sample_correlation_matrices(4, 5, seed=81))
-    b = list(sample_correlation_matrices(4, 50, seed=81))
-    for x, y in zip(a, b[:5]):
-        assert np.array_equal(x.entries, y.entries)
+    a = stats._accepted_stack(4, 5, seed=81)
+    b = stats._accepted_stack(4, 50, seed=81)
+    assert np.array_equal(a, b[:5])
 
 
 def test_sampler_output_is_valid():
-    for m in sample_correlation_matrices(5, 30, seed=82):
-        e = m.entries
+    for e in stats._accepted_stack(5, 30, seed=82):
+        assert np.array_equal(e, e.T)
         assert np.array_equal(np.diag(e), np.ones(5))
         off = e[~np.eye(5, dtype=bool)]
         assert np.all(np.abs(off) <= 1.0)
@@ -59,27 +56,24 @@ def test_sampler_output_is_valid():
 
 def test_sampler_accepts_every_pair():
     # any single correlation value gives a PSD 2x2 matrix
-    mats = list(sample_correlation_matrices(2, 200, seed=83))
-    assert len(mats) == 200
+    assert len(stats._accepted_stack(2, 200, seed=83)) == 200
 
 
 def test_sampler_rejects_indefinite_draws():
     # the acceptance criterion is PSD within 1e-10: all -0.9 fails it
     # (lambda_min = -0.8), all -0.5 sits exactly on the boundary
-    from multipoles import linalg
-
-    assert not linalg.is_psd(equicorrelated(3, -0.9), tol=1e-10)
-    assert linalg.is_psd(equicorrelated(3, -0.5), tol=1e-10)
+    lam = linalg.eigh_many(np.stack([equicorrelated(3, -0.9), equicorrelated(3, -0.5)]), vectors=False)[0][:, 0]
+    assert lam[0] < -1e-10 <= lam[1]
     # and every emitted matrix satisfies it
-    for m in sample_correlation_matrices(3, 50, seed=84):
-        assert linalg.is_psd(m.entries, tol=1e-10)
+    lam = linalg.eigh_many(stats._accepted_stack(3, 50, seed=84), vectors=False)[0][:, 0]
+    assert np.all(lam >= -1e-10)
 
 
 def test_sampler_range_check():
     with pytest.raises(ValueError):
-        list(sample_correlation_matrices(1, 5, seed=84))
+        stats._accepted_stack(1, 5, seed=84)
     with pytest.raises(ValueError):
-        list(sample_correlation_matrices(9, 5, seed=84))
+        stats._accepted_stack(9, 5, seed=84)
 
 
 # ---------------------------------------------------------------- scatter
@@ -96,7 +90,7 @@ def test_scatter_respects_gain_cap():
 
 
 def test_scatter_matches_direct_evaluation():
-    mats = list(sample_correlation_matrices(3, 50, seed=86))
+    mats = stats._accepted_stack(3, 50, seed=86)
     samples = scatter(3, 50, seed=86)
     for m, s in zip(mats, samples):
         assert s.gain == pytest.approx(
@@ -174,25 +168,6 @@ def test_planted_matrices_meet_mining_filters():
 
 
 # ---------------------------------------------------------------- significance
-
-
-def test_null_distribution_validation():
-    with pytest.raises(ValueError):
-        NullDistribution(sample_count=5, sorted_sigmas=(0.5, 0.2), set_size=3)
-    nd = NullDistribution(
-        sample_count=10, sorted_sigmas=tuple(np.linspace(0, 1, 10)), set_size=3
-    )
-    with pytest.raises(ValueError, match="1000"):
-        nd.p_value(0.5)
-
-
-def test_p_value_rank_arithmetic():
-    sigmas = tuple(np.sort(np.random.default_rng(94).uniform(0, 0.6, 2000)))
-    nd = NullDistribution(sample_count=2000, sorted_sigmas=sigmas, set_size=3)
-    # larger than every null sample
-    assert nd.p_value(0.99) == pytest.approx(1 / 2001)
-    # smaller than every null sample
-    assert nd.p_value(0.0) == 1.0
 
 
 def test_significance_extreme_candidate():
