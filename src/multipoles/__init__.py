@@ -14,7 +14,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .dataset import CorrelationMatrix, TimeSeriesDataset, correlation_matrix, load_csv, standardize
-from .linalg import EigenResult, NotPositiveDefiniteError, cholesky, min_eigenpair
+from .linalg import NotPositiveDefiniteError, cholesky
 from .measures import (
     CanonicalForm,
     MultipoleRecord,
@@ -46,9 +46,7 @@ __all__ = [
     "load_csv",
     "standardize",
     "correlation_matrix",
-    "EigenResult",
     "NotPositiveDefiniteError",
-    "min_eigenpair",
     "cholesky",
     "SignedSet",
     "CanonicalForm",

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import measures
+from . import linalg, measures
 
 
 @dataclass(frozen=True)
@@ -62,29 +63,57 @@ class BoundViolation:
         return f"{self.kind}{where}: {self.lhs:.12g} > {self.rhs:.12g}"
 
 
-def bound_report(A) -> BoundReport:
-    """Compute every bound quantity by direct eigen-decomposition."""
-    M = measures._entries(A)
-    k = M.shape[0]
+class _Parts(NamedTuple):
+    """Bound quantities of a (B, k, k) stack; per-column arrays are (B, k)."""
+
+    gain: NDArray[np.float64]
+    rho_s: NDArray[np.float64]
+    norm2: NDArray[np.float64]
+    norm1: NDArray[np.float64]
+    deltas: NDArray[np.float64]
+    corollary1: NDArray[np.float64]
+    corollary2: NDArray[np.float64]
+    size_cap: NDArray[np.float64]
+
+
+def _bound_parts(mats: NDArray[np.float64]) -> _Parts:
+    """Every bound quantity of a stack of same-size correlation matrices, k >= 3."""
+    B, k, _ = mats.shape
     if k < 3:
-        raise ValueError(f"bound report needs k >= 3, got {k}")
-    lam, mus, gain = measures._gain_parts(M[None, :, :])
-    off = M - np.eye(k)
-    norm2 = np.sqrt((off * off).sum(axis=0))
-    norm1 = np.abs(off).sum(axis=0)
-    deltas = mus[0] - lam[0]
-    cols = tuple(
-        ColumnBound(column=j, c_norm2=float(norm2[j]), c_norm1=float(norm1[j]), delta_lambda=float(deltas[j]))
-        for j in range(k)
+        raise ValueError(f"bounds need k >= 3, got {k}")
+    study = measures._study_stack(mats)
+    off = mats - np.eye(k)[None, :, :]
+    sq = (off * off).sum(axis=1)
+    return _Parts(
+        gain=study.gain,
+        rho_s=study.rho_s,
+        norm2=np.sqrt(sq),
+        norm1=np.abs(off).sum(axis=1),
+        deltas=study.deletion_min - study.lambda_min[:, None],
+        corollary1=np.sqrt(sq.sum(axis=1) / k),
+        corollary2=np.sqrt(sq / (k - 1)).min(axis=1),
+        size_cap=np.full(B, 1.0 / (k - 1)),
     )
-    corollary1 = math.sqrt(float((off * off).sum()) / k)
-    corollary2 = float(np.sqrt((off * off).sum(axis=0) / (k - 1)).min())
+
+
+def bound_report(A) -> BoundReport:
+    """Every bound quantity of one matrix: row 0 of the stack_report_rows kernel.
+
+    The matrix must be finite and symmetric (within 1e-9); anything else
+    raises ValueError.
+    """
+    M = linalg._as_square(A, sym_tol=1e-9)
+    p = _bound_parts(M[None, :, :])
+    cols = tuple(
+        ColumnBound(column=j, c_norm2=float(p.norm2[0, j]), c_norm1=float(p.norm1[0, j]), delta_lambda=float(p.deltas[0, j]))
+        for j in range(M.shape[0])
+    )
     return BoundReport(
         columns=cols,
-        gain=float(gain[0]),
-        corollary1_bound=corollary1,
-        corollary2_bound=corollary2,
-        size_cap_bound=1.0 / (k - 1),
+        gain=float(p.gain[0]),
+        corollary1_bound=float(p.corollary1[0]),
+        corollary2_bound=float(p.corollary2[0]),
+        size_cap_bound=float(p.size_cap[0]),
     )
 
 
@@ -129,23 +158,11 @@ def stack_report_rows(mats: NDArray[np.float64], tol: float = 1e-9):
     where violated flags any failed proved inequality. Vectorized so the
     random-matrix validator can process large samples.
     """
-    mats = np.asarray(mats, dtype=np.float64)
-    B, k, _ = mats.shape
-    if k < 3:
-        raise ValueError(f"bound rows need k >= 3, got {k}")
-    study = measures._study_stack(mats)
-    off = mats - np.eye(k)[None, :, :]
-    sq = (off * off).sum(axis=1)
-    norm2 = np.sqrt(sq)
-    norm1 = np.abs(off).sum(axis=1)
-    deltas = study.deletion_min - study.lambda_min[:, None]
-    corollary1 = np.sqrt(sq.sum(axis=1) / k)
-    corollary2 = np.sqrt(sq / (k - 1)).min(axis=1)
+    p = _bound_parts(np.asarray(mats, dtype=np.float64))
     violated = (
-        (deltas > norm2 + tol).any(axis=1)
-        | (norm2 > norm1 + tol).any(axis=1)
-        | (study.gain > corollary1 + tol)
-        | (study.gain > corollary2 + tol)
+        (p.deltas > p.norm2 + tol).any(axis=1)
+        | (p.norm2 > p.norm1 + tol).any(axis=1)
+        | (p.gain > p.corollary1 + tol)
+        | (p.gain > p.corollary2 + tol)
     )
-    cap = np.full(B, 1.0 / (k - 1))
-    return study.gain, study.rho_s, corollary1, corollary2, cap, violated
+    return p.gain, p.rho_s, p.corollary1, p.corollary2, p.size_cap, violated

@@ -21,10 +21,6 @@ import numpy as np
 from . import __version__, bounds, dataset, measures, miner, stats
 
 
-class _Validation(Exception):
-    pass
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -58,7 +54,7 @@ def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
     try:
         raw = dataset.load_csv(path)
     except OSError as e:
-        raise _Validation(f"cannot read input {path}: {e}")
+        raise ValueError(f"cannot read input {path}: {e}")
     return dataset.standardize(raw, detrend=detrend)
 
 
@@ -149,7 +145,7 @@ def cmd_merge(args) -> int:
         try:
             lists.append(miner.read_records_json(path))
         except OSError as e:
-            raise _Validation(f"cannot read input {path}: {e}")
+            raise ValueError(f"cannot read input {path}: {e}")
     merged = miner.merge_by_names(lists)
     base = _base_path(args.out)
     json_path = base + ".json"
@@ -164,9 +160,9 @@ def cmd_merge(args) -> int:
 def cmd_sample(args) -> int:
     started = _utcnow()
     if not (3 <= args.k <= 8):
-        raise _Validation("k must be in [3,8]")
+        raise ValueError("k must be in [3,8]")
     if args.count < 1:
-        raise _Validation("count must be >= 1")
+        raise ValueError("count must be >= 1")
     samples = stats.scatter(args.k, args.count, args.seed)
     base = _base_path(args.out)
     csv_path = base + ".csv"
@@ -180,9 +176,9 @@ def cmd_sample(args) -> int:
 def cmd_bounds(args) -> int:
     started = _utcnow()
     if not (3 <= args.k <= 8):
-        raise _Validation("k must be in [3,8]")
+        raise ValueError("k must be in [3,8]")
     if args.count < 1:
-        raise _Validation("count must be >= 1")
+        raise ValueError("count must be >= 1")
     stack = stats._accepted_stack(args.k, args.count, args.seed)
     gain, rho_s, c1, c2, cap, violated = bounds.stack_report_rows(stack)
     base = _base_path(args.out)
@@ -206,13 +202,13 @@ def cmd_synth(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
-        raise _Validation(f"sizes must be a comma list of integers, got {args.sizes!r}")
+        raise ValueError(f"sizes must be a comma list of integers, got {args.sizes!r}")
     if not sizes or any(s < 3 for s in sizes):
-        raise _Validation("sizes must contain integers >= 3")
+        raise ValueError("sizes must contain integers >= 3")
     if args.plant < 0:
-        raise _Validation("plant must be >= 0")
+        raise ValueError("plant must be >= 0")
     if not (0.0 < args.plant_sigma < 1.0):
-        raise _Validation("plant-sigma must be in (0,1)")
+        raise ValueError("plant-sigma must be in (0,1)")
     root = np.random.SeedSequence(args.seed)
     per_size = {s: args.plant // len(sizes) + (1 if i < args.plant % len(sizes) else 0) for i, s in enumerate(sizes)}
     seeds = root.spawn(len(sizes) + 1)
@@ -225,7 +221,7 @@ def cmd_synth(args) -> int:
         )
     total_members = sum(m.dim for m in planted)
     if args.noise_to < max(2, total_members):
-        raise _Validation(f"noise-to must be at least max(2, planted member count {total_members})")
+        raise ValueError(f"noise-to must be at least max(2, planted member count {total_members})")
     d, truth = stats.synth_dataset(planted, args.noise_to - total_members, args.T, seeds[-1])
     base = _base_path(args.out)
     csv_path = base + ".csv"
@@ -252,26 +248,26 @@ def cmd_synth(args) -> int:
 def cmd_signif(args) -> int:
     started = _utcnow()
     if not (0.0 < args.alpha < 1.0):
-        raise _Validation("alpha must be in (0,1)")
+        raise ValueError("alpha must be in (0,1)")
     if args.samples < 1:
-        raise _Validation("samples must be >= 1")
+        raise ValueError("samples must be >= 1")
     if args.repeats < 100:
-        raise _Validation("repeats must be >= 100")
+        raise ValueError("repeats must be >= 100")
     d = _load_standardized(args.input, detrend=False)
     pool = [_load_standardized(p, detrend=False) for p in args.pool]
     for i, p in enumerate(pool):
         if p.names != d.names:
-            raise _Validation(f"pool file {args.pool[i]} has different variable names than {args.input}")
+            raise ValueError(f"pool file {args.pool[i]} has different variable names than {args.input}")
     member_names = [m for m in args.members.split(",") if m]
     try:
         members = sorted(d.names.index(m) for m in member_names)
     except ValueError:
         missing = [m for m in member_names if m not in d.names]
-        raise _Validation(f"members not found in {args.input}: {missing}")
+        raise ValueError(f"members not found in {args.input}: {missing}")
     if len(members) < 3:
-        raise _Validation("members must name at least 3 distinct variables")
+        raise ValueError("members must name at least 3 distinct variables")
     if len(set(members)) != len(members):
-        raise _Validation("members must be distinct")
+        raise ValueError("members must be distinct")
     root = np.random.SeedSequence(args.seed)
     s_sig, s_rep = root.spawn(2)
     A = dataset.correlation_matrix(d)
@@ -394,9 +390,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Validation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

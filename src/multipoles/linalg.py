@@ -8,13 +8,12 @@ output bits regardless of batch composition. Everything
 downstream leans on that for deterministic result files.
 
 ``eigh_many`` diagonalizes a whole stack of same-sized matrices in one
-vectorized pass; the scalar entry points wrap it with a stack of one, so
-there is a single code path to trust.
+vectorized pass and is the only eigensolver; scalar measures solve a stack
+of one through it, so there is a single code path to trust. ``cholesky`` is
+the only scalar entry point here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,18 +43,6 @@ class NotPositiveDefiniteError(ValueError):
         self.pivot = pivot
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Smallest eigenpair of a symmetric matrix.
-
-    ``vector`` has unit norm and canonical orientation: its first component
-    with magnitude above 1e-10 is positive.
-    """
-
-    lambda_min: float
-    vector: NDArray[np.float64]
-
-
 def _as_square(A, sym_tol: float) -> NDArray[np.float64]:
     """Validate and symmetrize the input; accepts anything with ``.entries``."""
     M = np.asarray(getattr(A, "entries", A), dtype=np.float64)
@@ -80,7 +67,7 @@ def eigh_many(
     ----------
     mats : (n, k, k) array
         Stack of symmetric matrices, k <= 64. Symmetry is trusted, not checked;
-        the scalar wrappers validate.
+        callers validate (see ``_as_square``).
     vectors : bool
         When false, skip eigenvector accumulation (about twice as fast).
 
@@ -185,14 +172,6 @@ def _eigh2(A: NDArray[np.float64], vectors: bool) -> tuple[NDArray[np.float64], 
     V[:, 0, 1] = -v0[:, 1]
     V[:, 1, 1] = v0[:, 0]
     return values, _orient(V)
-
-
-def min_eigenpair(A) -> EigenResult:
-    """Smallest eigenvalue and its canonically oriented unit eigenvector."""
-    M = _as_square(A, sym_tol=1e-9)
-    values, vecs = eigh_many(M[None, :, :], vectors=True)
-    assert vecs is not None
-    return EigenResult(lambda_min=float(values[0, 0]), vector=vecs[0, :, 0].copy())
 
 
 def cholesky(A) -> NDArray[np.float64]:

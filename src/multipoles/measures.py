@@ -1,9 +1,14 @@
 """Core quantities: least-variant combination, linear dependence and gain,
 self-canceling forms, negative-clique predicates.
 
-All operations take either a CorrelationMatrix or a plain symmetric ndarray
-and a subset of variable indices. Subsets are handled in sorted order;
-weight vectors line up with the sorted members.
+All operations take either a CorrelationMatrix or a plain ndarray and a
+subset of variable indices. The subset's principal submatrix must be finite
+and symmetric (within 1e-9); anything else raises ValueError. Subsets are
+handled in sorted order; weight vectors line up with the sorted members.
+
+Every measure is row 0 of the stack kernels the sampler and the miner use:
+``_canonical`` (smallest eigenpair, self-canceling signs, weights, rho_s)
+and ``_study_stack`` (that plus deletion eigenvalues and gain).
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ def _entries(A) -> NDArray[np.float64]:
 
 
 def _checked_subset(A, subset, min_size: int) -> tuple[NDArray[np.float64], tuple[int, ...]]:
+    """Validated principal submatrix of the subset, and its sorted members."""
     M = _entries(A)
     idx = tuple(sorted(int(i) for i in subset))
     if len(idx) < min_size:
@@ -112,12 +118,8 @@ def _checked_subset(A, subset, min_size: int) -> tuple[NDArray[np.float64], tupl
     n = M.shape[0]
     if idx[0] < 0 or idx[-1] >= n:
         raise ValueError(f"member index out of range for a {n}-variable matrix")
-    return M, idx
-
-
-def _submatrix(M: NDArray[np.float64], idx: Sequence[int]) -> NDArray[np.float64]:
     ix = np.asarray(idx, dtype=np.intp)
-    return M[np.ix_(ix, ix)]
+    return linalg._as_square(M[np.ix_(ix, ix)], sym_tol=1e-9), idx
 
 
 def lvnlc(A, subset) -> tuple[float, NDArray[np.float64]]:
@@ -126,9 +128,9 @@ def lvnlc(A, subset) -> tuple[float, NDArray[np.float64]]:
     Returns (variance, weights): the smallest eigenvalue of the principal
     correlation submatrix and its unit eigenvector in canonical orientation.
     """
-    M, idx = _checked_subset(A, subset, 2)
-    pair = linalg.min_eigenpair(_submatrix(M, idx))
-    return pair.lambda_min, pair.vector
+    sub, _ = _checked_subset(A, subset, 2)
+    form = _canonical(sub[None])
+    return float(form.values[0, 0]), form.vectors[0]
 
 
 def linear_dependence(A, subset) -> float:
@@ -143,9 +145,8 @@ def linear_gain(A, subset) -> float:
     Equals min_j mu_j - lambda where mu_j is the smallest eigenvalue with
     member j removed; nonnegative up to eigensolver tolerance.
     """
-    M, idx = _checked_subset(A, subset, 3)
-    _, _, gain = _gain_parts(_submatrix(M, idx)[None, :, :])
-    return float(gain[0])
+    sub, _ = _checked_subset(A, subset, 3)
+    return float(_study_stack(sub[None]).gain[0])
 
 
 def self_canceling_form(A, subset) -> CanonicalForm:
@@ -156,31 +157,18 @@ def self_canceling_form(A, subset) -> CanonicalForm:
     largest off-diagonal entry and the returned weights (weight times applied
     sign) are all above -1e-10.
     """
-    M, idx = _checked_subset(A, subset, 2)
-    sub = _submatrix(M, idx)
-    pair = linalg.min_eigenpair(sub)
-    w = pair.vector
-    signs = np.where(w < -FLIP_EPS, -1, 1)
-    adj = sub * np.outer(signs, signs)
-    k = len(idx)
-    off = adj[~np.eye(k, dtype=bool)]
-    weights = w * signs
-    signed = SignedSet.canonical(idx, signs.tolist())
-    return CanonicalForm(signed=signed, rho_s=float(off.max()), weights=tuple(float(x) for x in weights))
+    sub, idx = _checked_subset(A, subset, 2)
+    form = _canonical(sub[None])
+    signed = SignedSet.canonical(idx, form.signs[0].tolist())
+    return CanonicalForm(signed=signed, rho_s=float(form.rho_s[0]), weights=tuple(float(x) for x in form.weights[0]))
 
 
 def is_negative_clique(A, signed: SignedSet, rho: float) -> bool:
     """True iff every sign-adjusted pairwise correlation is at most rho."""
-    M = _entries(A)
-    idx = signed.members
-    n = M.shape[0]
-    if idx[-1] >= n:
-        raise ValueError(f"member index out of range for a {n}-variable matrix")
-    sub = _submatrix(M, idx)
+    sub, _ = _checked_subset(A, signed.members, 2)
     s = np.asarray(signed.signs, dtype=np.float64)
     adj = sub * np.outer(s, s)
-    k = len(idx)
-    return bool(np.all(adj[~np.eye(k, dtype=bool)] <= rho))
+    return bool(np.all(adj[~np.eye(signed.size, dtype=bool)] <= rho))
 
 
 def negative_equivalent_witness(A, subset, rho: float) -> Optional[SignedSet]:
@@ -190,11 +178,10 @@ def negative_equivalent_witness(A, subset, rho: float) -> Optional[SignedSet]:
     returns the first that works, so the witness is deterministic. Limited to
     25 members.
     """
-    M, idx = _checked_subset(A, subset, 2)
+    sub, idx = _checked_subset(A, subset, 2)
     k = len(idx)
     if k > 25:
         raise ValueError(f"subset of size {k} too large for exhaustive sign search (max 25)")
-    sub = _submatrix(M, idx)
     iu, ju = np.triu_indices(k, 1)
     pair_corr = sub[iu, ju]
     total = 1 << (k - 1)
@@ -213,11 +200,32 @@ def negative_equivalent_witness(A, subset, rho: float) -> Optional[SignedSet]:
     return None
 
 
+class _Form(NamedTuple):
+    """Smallest eigenpair and self-canceling form of each matrix in a (B, k, k) stack."""
+
+    values: NDArray[np.float64]  # (B, k) ascending eigenvalues
+    vectors: NDArray[np.float64]  # (B, k) canonically oriented smallest eigenvectors
+    signs: NDArray[np.float64]  # (B, k) -1.0 where the vector is below -FLIP_EPS, else 1.0
+    weights: NDArray[np.float64]  # (B, k) vectors * signs
+    rho_s: NDArray[np.float64]  # (B,) largest sign-adjusted off-diagonal entry
+
+
+def _canonical(mats: NDArray[np.float64]) -> _Form:
+    """Self-canceling form of every matrix in the stack, from one eigen-solve."""
+    mats = np.asarray(mats, dtype=np.float64)
+    k = mats.shape[1]
+    values, vecs = linalg.eigh_many(mats, vectors=True)
+    vectors = vecs[:, :, 0]
+    signs = np.where(vectors < -FLIP_EPS, -1.0, 1.0)
+    adj = mats * signs[:, :, None] * signs[:, None, :]
+    rho_s = adj[:, ~np.eye(k, dtype=bool)].max(axis=1)
+    return _Form(values=values, vectors=vectors, signs=signs, weights=vectors * signs, rho_s=rho_s)
+
+
 class StackStudy(NamedTuple):
     """Batched per-matrix quantities for a (B, k, k) correlation stack."""
 
     lambda_min: NDArray[np.float64]
-    vectors: NDArray[np.float64]
     deletion_min: NDArray[np.float64]
     gain: NDArray[np.float64]
     rho_s: NDArray[np.float64]
@@ -240,28 +248,12 @@ def _deletion_min_eigvals(mats: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def _gain_parts(mats: NDArray[np.float64], lam: NDArray[np.float64] | None = None):
-    """(lambda_min, deletion minima, gain) of a (B, k, k) stack, k >= 3.
-
-    gain is min_j mu_j - lambda; pass lam when the caller has already solved
-    the stack, so no matrix is diagonalized twice.
-    """
-    if lam is None:
-        lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-    mus = _deletion_min_eigvals(mats)
-    return lam, mus, mus.min(axis=1) - lam
-
-
 def _study_stack(mats: NDArray[np.float64]) -> StackStudy:
-    """Eigen-structure, deletion eigenvalues, gain, and adjusted max correlation
-    for a stack of correlation submatrices of a common size k >= 3."""
+    """Smallest eigenvalue, deletion eigenvalues, gain (min_j mu_j - lambda) and
+    adjusted max correlation for a stack of correlation submatrices of a
+    common size k >= 3."""
     mats = np.asarray(mats, dtype=np.float64)
-    B, k, _ = mats.shape
-    values, vecs = linalg.eigh_many(mats, vectors=True)
-    vectors = vecs[:, :, 0]
-    lam, deletion, gain = _gain_parts(mats, values[:, 0])
-    signs = np.where(vectors < -FLIP_EPS, -1.0, 1.0)
-    adj = mats * signs[:, :, None] * signs[:, None, :]
-    offmask = ~np.eye(k, dtype=bool)
-    rho_s = adj[:, offmask].max(axis=1)
-    return StackStudy(lambda_min=lam, vectors=vectors, deletion_min=deletion, gain=gain, rho_s=rho_s)
+    form = _canonical(mats)
+    lam = form.values[:, 0]
+    deletion = _deletion_min_eigvals(mats)
+    return StackStudy(lambda_min=lam, deletion_min=deletion, gain=deletion.min(axis=1) - lam, rho_s=form.rho_s)

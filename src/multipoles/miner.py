@@ -97,17 +97,14 @@ def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]]) -> NDArr
 def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma, gain) -> list[measures.MultipoleRecord]:
     """Records of same-size member tuples with their sigma and gain; self-canceling
     signs and weights come from one stack."""
-    values, vecs = linalg.eigh_many(_gather(M, np.asarray(members, dtype=np.intp)), vectors=True)
-    near = (values[:, 1] - values[:, 0]) < measures.DEGENERATE_GAP
-    w = vecs[:, :, 0]
-    signs = np.where(w < -measures.FLIP_EPS, -1, 1)
-    weights = w * signs
+    form = measures._canonical(_gather(M, np.asarray(members, dtype=np.intp)))
+    near = (form.values[:, 1] - form.values[:, 0]) < measures.DEGENERATE_GAP
     return [
         measures.MultipoleRecord(
-            signed=measures.SignedSet.canonical(t, signs[row].tolist()),
+            signed=measures.SignedSet.canonical(t, form.signs[row].tolist()),
             sigma=float(sigma[row]),
             gain=float(gain[row]),
-            weights=tuple(float(x) for x in weights[row]),
+            weights=tuple(float(x) for x in form.weights[row]),
             maximal=False,
             near_degenerate=bool(near[row]),
         )

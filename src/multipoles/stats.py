@@ -227,6 +227,17 @@ def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed)
     return (1 + count_ge) / (samples + 1)
 
 
+def _members_sigma(d: dataset.TimeSeriesDataset, members: tuple[int, ...]):
+    """(columns, correlation matrix, linear dependence) of the members of a
+    standardized dataset; the matrix is clipped to [-1, 1] with a unit diagonal."""
+    X = d.values[:, members]
+    C = (X.T @ X) / (d.T - 1)
+    np.clip(C, -1.0, 1.0, out=C)
+    np.fill_diagonal(C, 1.0)
+    lam = linalg.eigh_many(C[None], vectors=False)[0][0, 0]
+    return X, C, float(measures._sigma_of(lam))
+
+
 def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, pool, repeats: int, seed) -> float:
     """p-value for one member: does replacing it with a random pool series
     reach the original set's dependence as often as not?
@@ -248,12 +259,7 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
         raise ValueError("member index out of range for the context dataset")
     k = len(members)
     pos = members.index(member)
-    X = d.values[:, members]
-    C0 = (X.T @ X) / (T - 1)
-    np.clip(C0, -1.0, 1.0, out=C0)
-    np.fill_diagonal(C0, 1.0)
-    lam0 = linalg.eigh_many(C0[None], vectors=False)[0][0, 0]
-    sigma0 = float(measures._sigma_of(lam0))
+    X, C0, sigma0 = _members_sigma(d, members)
 
     rng = np.random.default_rng(seed)
     P = len(pool)
@@ -307,12 +313,7 @@ def reproducibility(
         if members[-1] >= d.N:
             raise ValueError(f"member {members[-1]} absent from a dataset with N={d.N}")
         subs = child.spawn(1 + k)
-        X = d.values[:, members]
-        C = (X.T @ X) / (d.T - 1)
-        np.clip(C, -1.0, 1.0, out=C)
-        np.fill_diagonal(C, 1.0)
-        lam = linalg.eigh_many(C[None], vectors=False)[0][0, 0]
-        sigma = float(measures._sigma_of(lam))
+        _, _, sigma = _members_sigma(d, members)
         p_sigma = significance_sigma(sigma, k, pool, samples, subs[0])
         if p_sigma > alpha:
             continue

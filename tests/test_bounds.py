@@ -117,3 +117,32 @@ def test_violation_formatting():
     v = bounds.BoundViolation(kind="corollary1", column=-1, lhs=0.5, rhs=0.4)
     text = str(v)
     assert "corollary1" in text
+
+
+def test_scalar_reports_are_row_zero_of_the_stack():
+    # bound_report and the scalar measures are row 0 of the stack kernels,
+    # so each field equals its stack_report_rows / _study_stack row bit for bit
+    rng = np.random.default_rng(43)
+    for k in (3, 4, 5, 6):
+        mats = random_correlation(rng, 25, k)
+        gain, rho_s, c1, c2, cap, _ = stack_report_rows(mats)
+        reports = [bound_report(a) for a in mats]
+        assert [r.gain for r in reports] == gain.tolist()
+        assert [r.corollary1_bound for r in reports] == c1.tolist()
+        assert [r.corollary2_bound for r in reports] == c2.tolist()
+        assert [r.size_cap_bound for r in reports] == cap.tolist()
+        parts = bounds._bound_parts(mats)
+        assert [[c.c_norm2 for c in r.columns] for r in reports] == parts.norm2.tolist()
+        assert [[c.c_norm1 for c in r.columns] for r in reports] == parts.norm1.tolist()
+        assert [[c.delta_lambda for c in r.columns] for r in reports] == parts.deltas.tolist()
+
+        study = measures._study_stack(mats)
+        form = measures._canonical(mats)
+        assert [measures.linear_gain(a, range(k)) for a in mats] == study.gain.tolist() == gain.tolist()
+        for t, a in enumerate(mats):
+            var, w = measures.lvnlc(a, range(k))
+            assert var == study.lambda_min[t]
+            assert w.tolist() == form.vectors[t].tolist()
+            cf = measures.self_canceling_form(a, range(k))
+            assert cf.rho_s == rho_s[t] == study.rho_s[t]
+            assert cf.weights == tuple(form.weights[t])

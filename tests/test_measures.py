@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multipoles import measures
+from multipoles.bounds import bound_report, check_bounds
 from multipoles.measures import (
     CanonicalForm,
     MultipoleRecord,
@@ -286,6 +287,40 @@ def test_witness_matches_partition_characterization():
             for rho in (0.0, -0.05, 0.1):
                 w = negative_equivalent_witness(a, list(range(k)), rho)
                 assert (w is not None) == partition_split_exists(a, rho)
+
+
+# ---------------------------------------------------------------- malformed input
+
+
+def _nan_matrix():
+    a = equicorrelated(3, -0.3)
+    a[1, 2] = a[2, 1] = np.nan
+    return a
+
+
+def _asymmetric_matrix():
+    a = np.eye(3)
+    a[0, 1] = 0.5
+    return a
+
+
+@pytest.mark.parametrize("matrix", [_nan_matrix, _asymmetric_matrix], ids=["nan", "asymmetric"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: linear_gain(a, [0, 1, 2]),
+        lambda a: check_bounds(a),
+        lambda a: bound_report(a),
+        lambda a: negative_equivalent_witness(a, [0, 1, 2], 0.0),
+        lambda a: is_negative_clique(a, SignedSet(members=(0, 1, 2), signs=(1, 1, 1)), 0.0),
+    ],
+    ids=["linear_gain", "check_bounds", "bound_report", "witness", "is_negative_clique"],
+)
+def test_malformed_matrix_raises(call, matrix):
+    # like lvnlc, every measure and bound rejects a non-finite or asymmetric
+    # matrix instead of answering from it
+    with pytest.raises(ValueError):
+        call(matrix())
 
 
 # ---------------------------------------------------------------- record

@@ -1,6 +1,8 @@
-"""Package surface: every advertised export exists, and every function the
-benchmark's layer tracer wraps is still there."""
+"""Package surface: every advertised export exists, every function the
+benchmark's layer tracer wraps is still there, and no private helper is left
+without a caller."""
 
+import ast
 import importlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +11,7 @@ import multipoles
 from multipoles import bounds, dataset, graph, linalg, measures, miner, stats
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(multipoles.__file__).resolve().parent
 
 
 def test_every_export_resolves():
@@ -32,3 +35,38 @@ def test_bench_tracer_finds_every_layer(monkeypatch):
     finally:
         tracer.unwrap_all()
     assert all(getattr(m, attr) is value for (m, attr), value in originals.items())
+
+
+def _referenced_names(tree) -> list[str]:
+    """Names a module uses: identifiers, attributes, imported names and
+    string constants (the layer tracer names what it wraps by string)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append(node.value)
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level _private function or class that nothing in the package
+    # or the benchmark refers to is dead code left behind by a refactor
+    files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in files}
+    used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    private = [
+        f"{f.stem}.{node.name}"
+        for f, tree in trees.items()
+        if f.parent == SRC
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert private
+    assert [name for name in private if name.split(".", 1)[1] not in used] == []
