@@ -102,7 +102,7 @@ def bound_report(A) -> BoundReport:
     The matrix must be finite and symmetric (within 1e-9); anything else
     raises ValueError.
     """
-    M = linalg._as_square(A, sym_tol=1e-9)
+    M = linalg._as_square(A)
     p = _bound_parts(M[None, :, :])
     cols = tuple(
         ColumnBound(column=j, c_norm2=float(p.norm2[0, j]), c_norm1=float(p.norm1[0, j]), delta_lambda=float(p.deltas[0, j]))

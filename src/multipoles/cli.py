@@ -1,9 +1,11 @@
 """Command-line interface: mining runs, oracles, samplers, significance.
 
-Every command is a pure function of (input files, flags, seed) and writes
-its results next to a manifest recording the resolved configuration and
-wall-clock interval. Result files are byte-reproducible; manifests carry
-timing and are not.
+Every command is a pure function of (input files, flags, seed). main runs
+it and writes the one manifest next to its results. The manifest records
+every flag the command defines except --out, as the command resolved it
+(max_size derived from delta, parsed lists), with the input files listed
+apart under "inputs", plus the result files and the wall-clock interval.
+Result files are byte-reproducible; manifests carry timing and are not.
 
 Exit codes: 0 success, 2 flag/input validation, 3 budget exhausted
 (partial results written, marked in the manifest), 1 internal error.
@@ -32,10 +34,20 @@ def _base_path(out: str) -> str:
     return out
 
 
-def _write_manifest(base: str, command: str, config: dict, inputs: list, outputs: list, started: str, partial: bool):
+# Flags naming input files: the manifest lists them under "inputs", not "config".
+_INPUT_FLAGS = ("input", "inputs", "pool")
+
+
+def _write_manifest(base: str, args, outputs: list, started: str, partial: bool) -> str:
+    """Write base.manifest.json: every flag of the command but --out, input files apart."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    inputs = []
+    for flag in _INPUT_FLAGS:
+        paths = config.pop(flag, [])
+        inputs += [paths] if isinstance(paths, str) else paths
     path = base + ".manifest.json"
     body = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": config,
         "inputs": inputs,
@@ -58,88 +70,37 @@ def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
     return dataset.standardize(raw, detrend=detrend)
 
 
-def _miner_config(args) -> miner.MinerConfig:
-    return miner.MinerConfig(
-        sigma_threshold=args.sigma,
-        delta_threshold=args.delta,
-        rho=args.rho,
-        max_size=args.max_size,
-        clique_budget=args.clique_budget,
-    )
+# A command takes the parsed flags and the output base path, writes its result
+# files, and returns (result paths, summary line, partial). A flag it resolves
+# (a derived default, a parsed list) is stored back on args for the manifest.
 
 
-def _emit_records(records, names, args, command: str, config: dict, inputs: list, started: str, partial: bool) -> int:
-    base = _base_path(args.out)
+def cmd_search(args, base: str):
+    """mine, brute and random: one input, the thresholds, one search, records out."""
+    graph_flags = {k: v for k, v in vars(args).items() if k in ("rho", "clique_budget")}  # mine's only
+    cfg = miner.MinerConfig(sigma_threshold=args.sigma, delta_threshold=args.delta, max_size=args.max_size, **graph_flags)
+    args.max_size = cfg.resolved_max_size()
+    d = _load_standardized(args.input, args.detrend)
+    partial = False
+    try:
+        if args.command == "mine":
+            records = miner.mine(d, cfg)
+        elif args.command == "brute":
+            records = miner.brute_force(d, cfg, subset_budget=args.subset_budget)
+        else:
+            records = miner.random_search(d, cfg, trials=args.trials, seed=args.seed)
+    except miner.MiningBudgetExceeded as e:
+        records = e.records
+        partial = True
+        print(f"warning: {e}", file=sys.stderr)
     json_path = base + ".json"
     csv_path = base + ".csv"
-    miner.write_records_json(records, names, json_path)
-    miner.write_records_csv(records, names, csv_path)
-    manifest = _write_manifest(base, command, config, inputs, [json_path, csv_path], started, partial)
-    print(f"{command}: {len(records)} multipoles -> {json_path}, {csv_path}, {manifest}")
-    return 3 if partial else 0
+    miner.write_records_json(records, d.names, json_path)
+    miner.write_records_csv(records, d.names, csv_path)
+    return [json_path, csv_path], f"{len(records)} multipoles", partial
 
 
-def cmd_mine(args) -> int:
-    started = _utcnow()
-    cfg = _miner_config(args)
-    d = _load_standardized(args.input, args.detrend)
-    partial = False
-    try:
-        records = miner.mine(d, cfg)
-    except miner.MiningBudgetExceeded as e:
-        records = e.records
-        partial = True
-        print(f"warning: {e}", file=sys.stderr)
-    config = {
-        "sigma": cfg.sigma_threshold,
-        "delta": cfg.delta_threshold,
-        "rho": cfg.rho,
-        "max_size": cfg.resolved_max_size(),
-        "clique_budget": cfg.clique_budget,
-        "detrend": args.detrend,
-    }
-    return _emit_records(records, d.names, args, "mine", config, [args.input], started, partial)
-
-
-def cmd_brute(args) -> int:
-    started = _utcnow()
-    cfg = _miner_config(args)
-    d = _load_standardized(args.input, args.detrend)
-    partial = False
-    try:
-        records = miner.brute_force(d, cfg, subset_budget=args.subset_budget)
-    except miner.MiningBudgetExceeded as e:
-        records = e.records
-        partial = True
-        print(f"warning: {e}", file=sys.stderr)
-    config = {
-        "sigma": cfg.sigma_threshold,
-        "delta": cfg.delta_threshold,
-        "max_size": cfg.resolved_max_size(),
-        "subset_budget": args.subset_budget,
-        "detrend": args.detrend,
-    }
-    return _emit_records(records, d.names, args, "brute", config, [args.input], started, partial)
-
-
-def cmd_random(args) -> int:
-    started = _utcnow()
-    cfg = _miner_config(args)
-    d = _load_standardized(args.input, args.detrend)
-    records = miner.random_search(d, cfg, trials=args.trials, seed=args.seed)
-    config = {
-        "sigma": cfg.sigma_threshold,
-        "delta": cfg.delta_threshold,
-        "max_size": cfg.resolved_max_size(),
-        "seed": args.seed,
-        "trials": args.trials,
-        "detrend": args.detrend,
-    }
-    return _emit_records(records, d.names, args, "random", config, [args.input], started, partial=False)
-
-
-def cmd_merge(args) -> int:
-    started = _utcnow()
+def cmd_merge(args, base: str):
     lists = []
     for path in args.inputs:
         try:
@@ -147,41 +108,32 @@ def cmd_merge(args) -> int:
         except OSError as e:
             raise ValueError(f"cannot read input {path}: {e}")
     merged = miner.merge_by_names(lists)
-    base = _base_path(args.out)
     json_path = base + ".json"
     csv_path = base + ".csv"
     miner.write_dicts_json(merged, json_path)
     miner.write_dicts_csv(merged, csv_path)
-    manifest = _write_manifest(base, "merge", {"inputs": list(args.inputs)}, list(args.inputs), [json_path, csv_path], started, False)
-    print(f"merge: {len(merged)} multipoles -> {json_path}, {csv_path}, {manifest}")
-    return 0
+    return [json_path, csv_path], f"{len(merged)} multipoles", False
 
 
-def cmd_sample(args) -> int:
-    started = _utcnow()
+def _check_sample_size(args) -> None:
     if not (3 <= args.k <= 8):
         raise ValueError("k must be in [3,8]")
     if args.count < 1:
         raise ValueError("count must be >= 1")
+
+
+def cmd_sample(args, base: str):
+    _check_sample_size(args)
     samples = stats.scatter(args.k, args.count, args.seed)
-    base = _base_path(args.out)
     csv_path = base + ".csv"
     stats.write_scatter_csv(samples, csv_path)
-    config = {"k": args.k, "count": args.count, "seed": args.seed}
-    manifest = _write_manifest(base, "sample", config, [], [csv_path], started, False)
-    print(f"sample: {len(samples)} matrices -> {csv_path}, {manifest}")
-    return 0
+    return [csv_path], f"{len(samples)} matrices", False
 
 
-def cmd_bounds(args) -> int:
-    started = _utcnow()
-    if not (3 <= args.k <= 8):
-        raise ValueError("k must be in [3,8]")
-    if args.count < 1:
-        raise ValueError("count must be >= 1")
+def cmd_bounds(args, base: str):
+    _check_sample_size(args)
     stack = stats._accepted_stack(args.k, args.count, args.seed)
     gain, rho_s, c1, c2, cap, violated = bounds.stack_report_rows(stack)
-    base = _base_path(args.out)
     csv_path = base + ".csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,gain,rho_s,corollary1,corollary2,size_cap,violated\n")
@@ -189,22 +141,17 @@ def cmd_bounds(args) -> int:
             fh.write(
                 f"{args.k},{gain[t]!r},{rho_s[t]!r},{c1[t]!r},{c2[t]!r},{cap[t]!r},{int(violated[t])}\n"
             )
-    n_viol = int(violated.sum())
-    config = {"k": args.k, "count": args.count, "seed": args.seed}
-    manifest = _write_manifest(base, "bounds", config, [], [csv_path], started, False)
-    print(f"bounds: {args.count} matrices, {n_viol} violations -> {csv_path}, {manifest}")
-    return 0
+    return [csv_path], f"{args.count} matrices, {int(violated.sum())} violations", False
 
 
-def cmd_synth(args) -> int:
-    started = _utcnow()
-    sizes = []
+def cmd_synth(args, base: str):
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise ValueError(f"sizes must be a comma list of integers, got {args.sizes!r}")
     if not sizes or any(s < 3 for s in sizes):
         raise ValueError("sizes must contain integers >= 3")
+    args.sizes = sizes
     if args.plant < 0:
         raise ValueError("plant must be >= 0")
     if not (0.0 < args.plant_sigma < 1.0):
@@ -223,30 +170,16 @@ def cmd_synth(args) -> int:
     if args.noise_to < max(2, total_members):
         raise ValueError(f"noise-to must be at least max(2, planted member count {total_members})")
     d, truth = stats.synth_dataset(planted, args.noise_to - total_members, args.T, seeds[-1])
-    base = _base_path(args.out)
     csv_path = base + ".csv"
     truth_path = base + ".truth.json"
     dataset.save_csv(d, csv_path)
     with open(truth_path, "w", encoding="utf-8") as fh:
         json.dump({"planted": [[d.names[i] for i in block] for block in truth]}, fh, indent=2)
         fh.write("\n")
-    config = {
-        "plant": args.plant,
-        "sizes": sizes,
-        "noise_to": args.noise_to,
-        "T": args.T,
-        "seed": args.seed,
-        "plant_sigma": args.plant_sigma,
-        "plant_gain": args.plant_gain,
-        "plant_rho": args.plant_rho,
-    }
-    manifest = _write_manifest(base, "synth", config, [], [csv_path, truth_path], started, False)
-    print(f"synth: N={d.N} T={d.T} with {len(truth)} planted sets -> {csv_path}, {truth_path}, {manifest}")
-    return 0
+    return [csv_path, truth_path], f"N={d.N} T={d.T} with {len(truth)} planted sets", False
 
 
-def cmd_signif(args) -> int:
-    started = _utcnow()
+def cmd_signif(args, base: str):
     if not (0.0 < args.alpha < 1.0):
         raise ValueError("alpha must be in (0,1)")
     if args.samples < 1:
@@ -258,7 +191,7 @@ def cmd_signif(args) -> int:
     for i, p in enumerate(pool):
         if p.names != d.names:
             raise ValueError(f"pool file {args.pool[i]} has different variable names than {args.input}")
-    member_names = [m for m in args.members.split(",") if m]
+    member_names = args.members = [m for m in args.members.split(",") if m]
     try:
         members = sorted(d.names.index(m) for m in member_names)
     except ValueError:
@@ -279,7 +212,6 @@ def cmd_signif(args) -> int:
         for i, m in enumerate(members)
     }
     rep_count = stats.reproducibility(members, pool, args.alpha, pool, s_rep, samples=args.samples, repeats=args.repeats)
-    base = _base_path(args.out)
     json_path = base + ".json"
     body = {
         "multipole": [d.names[m] for m in members],
@@ -293,25 +225,17 @@ def cmd_signif(args) -> int:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2)
         fh.write("\n")
-    config = {
-        "members": member_names,
-        "alpha": args.alpha,
-        "samples": args.samples,
-        "repeats": args.repeats,
-        "seed": args.seed,
-    }
-    manifest = _write_manifest(base, "signif", config, [args.input, *args.pool], [json_path], started, False)
-    print(f"signif: p_sigma={p_sigma:.6g} reproducible {rep_count}/{len(pool)} -> {json_path}, {manifest}")
-    return 0
+    return [json_path], f"p_sigma={p_sigma:.6g} reproducible {rep_count}/{len(pool)}", False
 
 
-def _add_common_miner_flags(p: argparse.ArgumentParser):
+def _add_search_flags(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="input CSV of time series (header row of names)")
     p.add_argument("--sigma", type=float, default=0.5, help="linear dependence threshold, in [0,1]")
     p.add_argument("--delta", type=float, default=0.15, help="linear gain threshold, in (0,1]")
     p.add_argument("--max-size", type=int, default=None, help="largest set size, >= 3 (default: derived from delta)")
     p.add_argument("--detrend", action="store_true", help="subtract least-squares linear trends before standardizing")
     p.add_argument("--out", required=True, help="output base path; writes .json, .csv, .manifest.json")
+    p.set_defaults(func=cmd_search)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,40 +248,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="mine maximal multipoles from a CSV dataset", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_common_miner_flags(p)
+    _add_search_flags(p)
     p.add_argument("--rho", type=float, default=0.0, help="graph correlation threshold, in [-1,1]")
     p.add_argument("--clique-budget", type=int, default=10_000_000, help="abort after this many maximal cliques, one per mirror pair, >= 1")
-    p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("brute", help="exhaustive subset search (oracle)", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_common_miner_flags(p)
+    _add_search_flags(p)
     p.add_argument("--subset-budget", type=int, default=2_000_000, help="refuse instances with more subsets than this")
-    p.set_defaults(func=cmd_brute, rho=0.0, clique_budget=10_000_000)
 
     p = sub.add_parser("random", help="random-subset search", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_common_miner_flags(p)
+    _add_search_flags(p)
     p.add_argument("--trials", type=int, required=True, help="number of random subsets to draw, >= 0")
     p.add_argument("--seed", type=int, default=0, help="RNG seed, any 64-bit integer")
-    p.set_defaults(func=cmd_random, rho=0.0, clique_budget=10_000_000)
 
     p = sub.add_parser("merge", help="union result files, dedup, drop non-maximal sets", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--inputs", nargs="+", required=True, help="result JSON files to merge")
     p.add_argument("--out", required=True, help="output base path; writes .json, .csv, .manifest.json")
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("sample", help="sample random correlation matrices; emit gain/rho_s scatter CSV", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--k", type=int, required=True, help="matrix size, in [3,8]")
-    p.add_argument("--count", type=int, required=True, help="accepted matrices to sample, >= 1")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--out", required=True, help="output base path; writes .csv, .manifest.json")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("bounds", help="validate eigengap bounds over sampled matrices", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--k", type=int, required=True, help="matrix size, in [3,8]")
-    p.add_argument("--count", type=int, required=True, help="accepted matrices to sample, >= 1")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--out", required=True, help="output base path; writes .csv, .manifest.json")
-    p.set_defaults(func=cmd_bounds)
+    for name, help_, func in (
+        ("sample", "sample random correlation matrices; emit gain/rho_s scatter CSV", cmd_sample),
+        ("bounds", "validate eigengap bounds over sampled matrices", cmd_bounds),
+    ):
+        p = sub.add_parser(name, help=help_, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--k", type=int, required=True, help="matrix size, in [3,8]")
+        p.add_argument("--count", type=int, required=True, help="accepted matrices to sample, >= 1")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--out", required=True, help="output base path; writes .csv, .manifest.json")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted multipoles", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--plant", type=int, required=True, help="number of planted sets, >= 0")
@@ -386,16 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = _utcnow()
     try:
-        return args.func(args)
+        base = _base_path(args.out)
+        outputs, summary, partial = args.func(args, base)
+        manifest = _write_manifest(base, args, outputs, started, partial)
+        print(f"{args.command}: {summary} -> {', '.join([*outputs, manifest])}")
+        return 3 if partial else 0
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except miner.MiningBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

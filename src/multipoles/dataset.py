@@ -99,6 +99,20 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
+def _resolve_matrix(data) -> CorrelationMatrix:
+    """The validated correlation matrix of mining input, the one entry point for it.
+
+    A dataset is correlated (it must be standardized), a CorrelationMatrix is
+    used as it is, and anything else is validated as a CorrelationMatrix, so a
+    raw matrix with NaN, asymmetry or a non-unit diagonal raises ValueError.
+    """
+    if isinstance(data, TimeSeriesDataset):
+        return correlation_matrix(data)
+    if isinstance(data, CorrelationMatrix):
+        return data
+    return CorrelationMatrix(entries=data)
+
+
 def load_csv(path) -> TimeSeriesDataset:
     """Read a UTF-8 comma-separated file: header of unique names, numeric rows.
 

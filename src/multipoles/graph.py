@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
+from . import dataset, measures
 
 
 class CliqueBudgetExceeded(RuntimeError):
@@ -46,10 +46,14 @@ class PromisingGraph:
 
 
 def build_graph(A, rho: float) -> PromisingGraph:
-    """Construct the dual-copy graph for a correlation matrix at threshold rho."""
+    """Construct the dual-copy graph for a correlation matrix at threshold rho.
+
+    A is a dataset, a CorrelationMatrix or a raw matrix, resolved as in mine:
+    a raw matrix with NaN, asymmetry or a non-unit diagonal raises ValueError.
+    """
     if not (-1.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    M = measures._entries(A)
+    M = dataset._resolve_matrix(A).entries
     n = M.shape[0]
     offdiag = ~np.eye(n, dtype=bool)
     within = (M <= rho) & offdiag

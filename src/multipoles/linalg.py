@@ -26,6 +26,7 @@ ORIENT_EPS = 1e-10
 
 _SWEEP_LIMIT = 100
 _OFF_TOL = 1e-13  # off-diagonal Frobenius norm at convergence
+_SYM_TOL = 1e-9  # largest |A - A^T| entry _as_square accepts
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -43,7 +44,7 @@ class NotPositiveDefiniteError(ValueError):
         self.pivot = pivot
 
 
-def _as_square(A, sym_tol: float) -> NDArray[np.float64]:
+def _as_square(A) -> NDArray[np.float64]:
     """Validate and symmetrize the input; accepts anything with ``.entries``."""
     M = np.asarray(getattr(A, "entries", A), dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -53,7 +54,7 @@ def _as_square(A, sym_tol: float) -> NDArray[np.float64]:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
     asym = float(np.max(np.abs(M - M.T), initial=0.0))
-    if asym > sym_tol:
+    if asym > _SYM_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     return (M + M.T) / 2.0
 
@@ -180,7 +181,7 @@ def cholesky(A) -> NDArray[np.float64]:
     Raises :class:`NotPositiveDefiniteError` carrying the pivot index when a
     pivot falls to 1e-12 or below.
     """
-    M = _as_square(A, sym_tol=1e-9)
+    M = _as_square(A)
     k = M.shape[0]
     L = np.zeros_like(M)
     for j in range(k):

@@ -22,8 +22,6 @@ from numpy.typing import NDArray
 from . import linalg
 
 FLIP_EPS = 1e-10
-# Two smallest eigenvalues closer than this: min-eigenvector is not unique.
-DEGENERATE_GAP = 1e-8
 
 
 @dataclass(frozen=True, order=True)
@@ -80,18 +78,13 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class MultipoleRecord:
-    """One mined multipole: members+signs, dependence, gain, weights, maximality.
-
-    near_degenerate marks records whose two smallest subset eigenvalues differ
-    by less than 1e-8, where the weight vector is not uniquely determined.
-    """
+    """One mined multipole: members+signs, dependence, gain, weights, maximality."""
 
     signed: SignedSet
     sigma: float
     gain: float
     weights: tuple[float, ...]
     maximal: bool
-    near_degenerate: bool = False
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -119,7 +112,7 @@ def _checked_subset(A, subset, min_size: int) -> tuple[NDArray[np.float64], tupl
     if idx[0] < 0 or idx[-1] >= n:
         raise ValueError(f"member index out of range for a {n}-variable matrix")
     ix = np.asarray(idx, dtype=np.intp)
-    return linalg._as_square(M[np.ix_(ix, ix)], sym_tol=1e-9), idx
+    return linalg._as_square(M[np.ix_(ix, ix)]), idx
 
 
 def lvnlc(A, subset) -> tuple[float, NDArray[np.float64]]:

@@ -56,24 +56,9 @@ class MinerConfig:
 class MiningBudgetExceeded(RuntimeError):
     """A search budget was hit; carries whatever results the processed part produced."""
 
-    def __init__(self, message: str, records: list, candidates_processed: int = 0):
+    def __init__(self, message: str, records: list):
         super().__init__(message)
         self.records = records
-        self.candidates_processed = candidates_processed
-
-
-def _resolve_matrix(data) -> NDArray[np.float64]:
-    """Entries of a validated correlation matrix, the one entry point for mining input.
-
-    A dataset is correlated (it must be standardized), a CorrelationMatrix is
-    used as it is, and anything else is validated as a CorrelationMatrix, so a
-    raw matrix with NaN, asymmetry or a non-unit diagonal raises ValueError.
-    """
-    if isinstance(data, dataset.TimeSeriesDataset):
-        data = dataset.correlation_matrix(data)
-    elif not isinstance(data, dataset.CorrelationMatrix):
-        data = dataset.CorrelationMatrix(entries=data)
-    return data.entries
 
 
 def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64]:
@@ -98,7 +83,6 @@ def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma,
     """Records of same-size member tuples with their sigma and gain; self-canceling
     signs and weights come from one stack."""
     form = measures._canonical(_gather(M, np.asarray(members, dtype=np.intp)))
-    near = (form.values[:, 1] - form.values[:, 0]) < measures.DEGENERATE_GAP
     return [
         measures.MultipoleRecord(
             signed=measures.SignedSet.canonical(t, form.signs[row].tolist()),
@@ -106,7 +90,6 @@ def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma,
             gain=float(gain[row]),
             weights=tuple(float(x) for x in form.weights[row]),
             maximal=False,
-            near_degenerate=bool(near[row]),
         )
         for row, t in enumerate(members)
     ]
@@ -176,7 +159,7 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
     k = len(candidate.members)
     if k < 3:
         raise ValueError(f"candidate needs at least 3 members, got {k}")
-    return _lattice(_resolve_matrix(A), [candidate.members], cfg, descend=True)
+    return _lattice(dataset._resolve_matrix(A).entries, [candidate.members], cfg, descend=True)
 
 
 def _drop_contained(items, members_of) -> list:
@@ -232,8 +215,8 @@ def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     removed; output is sorted by descending gain, then descending dependence,
     then members. Deterministic for fixed input and config.
     """
-    M = _resolve_matrix(data)
-    g = graph.build_graph(M, cfg.rho)
+    A = dataset._resolve_matrix(data)
+    g = graph.build_graph(A, cfg.rho)
     partial = False
     try:
         cliques = graph.maximal_cliques(g, min_size=3, budget=cfg.clique_budget)
@@ -241,12 +224,11 @@ def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
         cliques = sorted(e.partial)
         partial = True
     candidates = _dedup_candidates(g, cliques)
-    final = _final_sort(remove_non_maximal(_lattice(M, candidates, cfg, descend=True)))
+    final = _final_sort(remove_non_maximal(_lattice(A.entries, candidates, cfg, descend=True)))
     if partial:
         raise MiningBudgetExceeded(
             f"clique budget of {cfg.clique_budget} exceeded after {len(candidates)} candidates; results are partial",
             final,
-            len(candidates),
         )
     return final
 
@@ -260,7 +242,7 @@ def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[
     Refuses instances whose subset count exceeds the budget. Input is
     resolved and validated as in mine.
     """
-    M = _resolve_matrix(data)
+    M = dataset._resolve_matrix(data).entries
     n = M.shape[0]
     smax = min(n, cfg.resolved_max_size())
     total = sum(math.comb(n, s) for s in range(3, smax + 1))
@@ -281,7 +263,7 @@ def random_search(A, cfg: MinerConfig, trials: int, seed: int = 0) -> list[measu
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    M = _resolve_matrix(A)
+    M = dataset._resolve_matrix(A).entries
     n = M.shape[0]
     smax = min(n, cfg.resolved_max_size())
     rng = np.random.default_rng(seed)
@@ -349,6 +331,8 @@ def write_records_csv(records, names, path) -> None:
 
 
 def read_records_json(path) -> list[dict]:
+    """Entries of a result file; each names 3 or more distinct members, and the
+    keys merge sorts and writes, where present, hold numbers or lists."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -362,6 +346,12 @@ def read_records_json(path) -> list[dict]:
             and len(set(members)) == len(members)
         ):
             raise ValueError(f"{path}: entry {i} is not a multipole object with 3 or more distinct member names")
+        for key in ("linear_gain", "linear_dependence"):
+            if key in d and (isinstance(d[key], bool) or not isinstance(d[key], (int, float))):
+                raise ValueError(f"{path}: entry {i} has a non-numeric {key!r}")
+        for key in ("signs", "weights"):
+            if key in d and not isinstance(d[key], list):
+                raise ValueError(f"{path}: entry {i} has a {key!r} that is not a list")
     return data
 
 

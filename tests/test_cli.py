@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, file outputs, and determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from multipoles import dataset, stats
-from multipoles.cli import main
+from multipoles.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -64,13 +65,15 @@ def test_mine_validation_exit_codes(tmp_path, planted_csv, capsys):
 
 def test_mine_budget_exit_code(tmp_path, planted_csv):
     path, _, _ = planted_csv
-    out = tmp_path / "partial.json"
-    code = run(["mine", "--input", path, "--rho", "1", "--clique-budget", "2",
-                "--out", out])
-    assert code == 3
-    manifest = json.loads((tmp_path / "partial.manifest.json").read_text())
-    assert manifest["partial"] is True
-    assert out.exists()  # partial results still written
+    for command, *budget in (["mine", "--rho", "1", "--clique-budget", "2"], ["brute", "--subset-budget", "10"]):
+        out = tmp_path / f"{command}-partial.json"
+        code = run([command, "--input", path, *budget, "--out", out])
+        assert code == 3
+        manifest = json.loads((tmp_path / f"{command}-partial.manifest.json").read_text())
+        assert manifest["partial"] is True
+        assert out.exists()  # partial results still written
+    # brute refuses the whole instance: its result is empty
+    assert json.loads((tmp_path / "brute-partial.json").read_text()) == []
 
 
 def test_brute_matches_mine_at_rho_one(tmp_path, planted_csv):
@@ -116,9 +119,15 @@ def test_merge_dedups_subsets(tmp_path, planted_csv):
 
 def test_merge_rejects_malformed_members(tmp_path, capsys):
     bad = tmp_path / "bad.json"
+    good = {"members": ["a", "b", "c"]}
     bad.write_text(json.dumps([{"members": ["a", "b"]}]))
     assert run(["merge", "--inputs", bad, "--out", tmp_path / "merged.json"]) == 2
     assert "entry 0" in capsys.readouterr().err
+    # the keys merge sorts and writes must be numbers or lists, not an internal error
+    for key, value in (("linear_gain", "high"), ("linear_dependence", None), ("signs", 3), ("weights", 5)):
+        bad.write_text(json.dumps([good, {**good, key: value}]))
+        assert run(["merge", "--inputs", bad, "--out", tmp_path / "merged.json"]) == 2
+        assert "entry 1" in capsys.readouterr().err
 
 
 def test_merge_accepts_members_only_entries(tmp_path):
@@ -203,6 +212,45 @@ def test_signif_rejects_unknown_member(tmp_path, planted_csv):
     dataset.save_csv(w, p)
     assert run(["signif", "--input", path, "--members", "ghost,a,b",
                 "--pool", p, "--out", tmp_path / "x.json"]) == 2
+
+
+def test_every_manifest_records_every_flag(tmp_path, planted_csv):
+    # main writes every command's manifest: config holds each flag the command
+    # defines but --out and the input files, which are listed under inputs
+    path, truth, names = planted_csv
+    pool = []
+    for i, ss in enumerate(np.random.SeedSequence(203).spawn(3)):
+        w, _ = stats.synth_dataset([], 10, 400, ss)
+        pool.append(tmp_path / f"w{i}.csv")
+        dataset.save_csv(dataset.TimeSeriesDataset(names=names, values=w.values), pool[-1])
+    results = [tmp_path / "m.json", tmp_path / "b.json"]
+    assert run(["mine", "--input", path, "--out", results[0]]) == 0
+    assert run(["brute", "--input", path, "--out", results[1]]) == 0
+    members = [names[i] for i in truth]
+    # command -> (flags, input files, one flag the command resolves and its recorded value)
+    cases = {
+        "mine": (["--input", path], [path], ("max_size", 7)),
+        "brute": (["--input", path], [path], ("max_size", 7)),
+        "random": (["--input", path, "--trials", "5"], [path], ("max_size", 7)),
+        "merge": (["--inputs", *results], results, None),
+        "sample": (["--k", "3", "--count", "5"], [], None),
+        "bounds": (["--k", "3", "--count", "5"], [], None),
+        "synth": (["--plant", "1", "--noise-to", "8", "--T", "300"], [], ("sizes", [3, 4, 5])),
+        "signif": (["--input", path, "--members", ",".join(members), "--pool", *pool,
+                    "--samples", "50", "--repeats", "100"], [path, *pool], ("members", members)),
+    }
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cases)
+    for command, sub in commands.items():
+        argv, inputs, resolved = cases[command]
+        assert run([command, *argv, "--out", tmp_path / command]) == 0
+        manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text())
+        flags = {a.dest for a in sub._actions if a.dest != "help"}
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == flags - {"out", "input", "inputs", "pool"}
+        assert manifest["inputs"] == [str(p) for p in inputs]
+        if resolved:
+            assert manifest["config"][resolved[0]] == resolved[1]
 
 
 def test_version_flag():

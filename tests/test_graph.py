@@ -29,7 +29,9 @@ def random_correlation(rng, k):
     g = rng.normal(size=(k, k + 3))
     cov = g @ g.T
     d = np.sqrt(np.diag(cov))
-    return cov / np.outer(d, d)
+    a = cov / np.outer(d, d)
+    np.fill_diagonal(a, 1.0)  # a correlation matrix's diagonal is exactly 1
+    return a
 
 
 def graph_from_edges(n, edges):
@@ -74,8 +76,8 @@ def brute_maximal_cliques(n_nodes, adj):
 
 
 def test_build_graph_edge_rules():
-    # correlations r01=-0.6, r02=+0.5, r12=+0.4
-    g = build_graph(triple(-0.6, 0.5, 0.4), rho=0.0)
+    # correlations r01=-0.5, r02=+0.4, r12=+0.3
+    g = build_graph(triple(-0.5, 0.4, 0.3), rho=0.0)
     assert g.n_nodes == 6
     n = 3
     # within copy 1: only the negative pair
@@ -193,14 +195,14 @@ def test_budget_exceeded_carries_partial_results():
 
 
 def test_clique_to_signed_set_mapping():
-    g = build_graph(triple(-0.6, 0.5, 0.4), rho=0.0)
+    g = build_graph(triple(-0.5, 0.4, 0.3), rho=0.0)
     s = clique_to_signed_set(g, [0, 1, 5])
     assert s.members == (0, 1, 2)
     assert s.signs == (1, 1, -1)
 
 
 def test_mirror_cliques_map_identically():
-    g = build_graph(triple(-0.6, 0.5, 0.4), rho=0.0)
+    g = build_graph(triple(-0.5, 0.4, 0.3), rho=0.0)
     assert clique_to_signed_set(g, [0, 1, 5]) == clique_to_signed_set(g, [3, 4, 2])
 
 

@@ -314,7 +314,11 @@ def random_search_10(A, cfg):
     return random_search(A, cfg, trials=10)
 
 
-@pytest.mark.parametrize("search", [mine, brute_force, random_search_10])
+def build_graph(A, cfg):
+    return graph.build_graph(A, cfg.rho)
+
+
+@pytest.mark.parametrize("search", [mine, brute_force, random_search_10, build_graph])
 @pytest.mark.parametrize("kind", ["nan", "asymmetric", "scaled"])
 def test_raw_matrix_input_is_validated(search, kind):
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
