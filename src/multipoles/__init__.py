@@ -27,7 +27,7 @@ from .measures import (
     self_canceling_form,
 )
 from .bounds import BoundReport, bound_report, check_bounds, max_size_for_gain
-from .graph import CliqueBudgetExceeded, PromisingGraph, build_graph, clique_to_signed_set, maximal_cliques
+from .graph import PromisingGraph, build_graph, clique_to_signed_set, maximal_cliques
 from .miner import MinerConfig, MiningBudgetExceeded, brute_force, extract_from_candidate, mine, random_search, remove_non_maximal
 from .stats import (
     ScatterSample,
@@ -62,7 +62,6 @@ __all__ = [
     "check_bounds",
     "max_size_for_gain",
     "PromisingGraph",
-    "CliqueBudgetExceeded",
     "build_graph",
     "maximal_cliques",
     "clique_to_signed_set",

@@ -7,8 +7,8 @@ every flag the command defines except --out, as the command resolved it
 apart under "inputs", plus the result files and the wall-clock interval.
 Result files are byte-reproducible; manifests carry timing and are not.
 
-Exit codes: 0 success, 2 flag/input validation, 3 budget exhausted
-(partial results written, marked in the manifest), 1 internal error.
+Exit codes: 0 success, 2 flag/input validation, 3 a search stage hit its
+--budget (partial results written; manifest "stop" names it), 1 internal error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _base_path(out: str) -> str:
 _INPUT_FLAGS = ("input", "inputs", "pool")
 
 
-def _write_manifest(base: str, args, outputs: list, started: str, partial: bool) -> str:
+def _write_manifest(base: str, args, outputs: list, started: str, stop: str | None) -> str:
     """Write base.manifest.json: every flag of the command but --out, input files apart."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     inputs = []
@@ -54,7 +54,8 @@ def _write_manifest(base: str, args, outputs: list, started: str, partial: bool)
         "outputs": outputs,
         "started_utc": started,
         "finished_utc": _utcnow(),
-        "partial": partial,
+        "partial": stop is not None,
+        "stop": stop,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
@@ -71,33 +72,32 @@ def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
 
 
 # A command takes the parsed flags and the output base path, writes its result
-# files, and returns (result paths, summary line, partial). A flag it resolves
-# (a derived default, a parsed list) is stored back on args for the manifest.
+# files, and returns (result paths, summary line, budget stop or None). A flag
+# it resolves (a derived default, a parsed list) is stored back on args for the
+# manifest.
 
 
 def cmd_search(args, base: str):
     """mine, brute and random: one input, the thresholds, one search, records out."""
-    graph_flags = {k: v for k, v in vars(args).items() if k in ("rho", "clique_budget")}  # mine's only
-    cfg = miner.MinerConfig(sigma_threshold=args.sigma, delta_threshold=args.delta, max_size=args.max_size, **graph_flags)
+    cfg = miner.MinerConfig(sigma_threshold=args.sigma, delta_threshold=args.delta, rho=getattr(args, "rho", 0.0), max_size=args.max_size, budget=args.budget)
     args.max_size = cfg.resolved_max_size()
     d = _load_standardized(args.input, args.detrend)
-    partial = False
+    stop = None
     try:
         if args.command == "mine":
             records = miner.mine(d, cfg)
         elif args.command == "brute":
-            records = miner.brute_force(d, cfg, subset_budget=args.subset_budget)
+            records = miner.brute_force(d, cfg)
         else:
             records = miner.random_search(d, cfg, trials=args.trials, seed=args.seed)
     except miner.MiningBudgetExceeded as e:
-        records = e.records
-        partial = True
+        records, stop = e.partial, str(e)
         print(f"warning: {e}", file=sys.stderr)
     json_path = base + ".json"
     csv_path = base + ".csv"
     miner.write_records_json(records, d.names, json_path)
     miner.write_records_csv(records, d.names, csv_path)
-    return [json_path, csv_path], f"{len(records)} multipoles", partial
+    return [json_path, csv_path], f"{len(records)} multipoles", stop
 
 
 def cmd_merge(args, base: str):
@@ -112,7 +112,7 @@ def cmd_merge(args, base: str):
     csv_path = base + ".csv"
     miner.write_dicts_json(merged, json_path)
     miner.write_dicts_csv(merged, csv_path)
-    return [json_path, csv_path], f"{len(merged)} multipoles", False
+    return [json_path, csv_path], f"{len(merged)} multipoles", None
 
 
 def _check_sample_size(args) -> None:
@@ -127,7 +127,7 @@ def cmd_sample(args, base: str):
     samples = stats.scatter(args.k, args.count, args.seed)
     csv_path = base + ".csv"
     stats.write_scatter_csv(samples, csv_path)
-    return [csv_path], f"{len(samples)} matrices", False
+    return [csv_path], f"{len(samples)} matrices", None
 
 
 def cmd_bounds(args, base: str):
@@ -141,7 +141,7 @@ def cmd_bounds(args, base: str):
             fh.write(
                 f"{args.k},{gain[t]!r},{rho_s[t]!r},{c1[t]!r},{c2[t]!r},{cap[t]!r},{int(violated[t])}\n"
             )
-    return [csv_path], f"{args.count} matrices, {int(violated.sum())} violations", False
+    return [csv_path], f"{args.count} matrices, {int(violated.sum())} violations", None
 
 
 def cmd_synth(args, base: str):
@@ -176,7 +176,7 @@ def cmd_synth(args, base: str):
     with open(truth_path, "w", encoding="utf-8") as fh:
         json.dump({"planted": [[d.names[i] for i in block] for block in truth]}, fh, indent=2)
         fh.write("\n")
-    return [csv_path, truth_path], f"N={d.N} T={d.T} with {len(truth)} planted sets", False
+    return [csv_path, truth_path], f"N={d.N} T={d.T} with {len(truth)} planted sets", None
 
 
 def cmd_signif(args, base: str):
@@ -225,7 +225,7 @@ def cmd_signif(args, base: str):
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2)
         fh.write("\n")
-    return [json_path], f"p_sigma={p_sigma:.6g} reproducible {rep_count}/{len(pool)}", False
+    return [json_path], f"p_sigma={p_sigma:.6g} reproducible {rep_count}/{len(pool)}", None
 
 
 def _add_search_flags(p: argparse.ArgumentParser):
@@ -234,6 +234,7 @@ def _add_search_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=float, default=0.15, help="linear gain threshold, in (0,1]")
     p.add_argument("--max-size", type=int, default=None, help="largest set size, >= 3 (default: derived from delta)")
     p.add_argument("--detrend", action="store_true", help="subtract least-squares linear trends before standardizing")
+    p.add_argument("--budget", type=int, default=miner.MinerConfig.budget, help="work cap per search stage: cliques, lattice sets, brute subsets; >= 1")
     p.add_argument("--out", required=True, help="output base path; writes .json, .csv, .manifest.json")
     p.set_defaults(func=cmd_search)
 
@@ -250,11 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine maximal multipoles from a CSV dataset", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_search_flags(p)
     p.add_argument("--rho", type=float, default=0.0, help="graph correlation threshold, in [-1,1]")
-    p.add_argument("--clique-budget", type=int, default=10_000_000, help="abort after this many maximal cliques, one per mirror pair, >= 1")
 
     p = sub.add_parser("brute", help="exhaustive subset search (oracle)", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_search_flags(p)
-    p.add_argument("--subset-budget", type=int, default=2_000_000, help="refuse instances with more subsets than this")
 
     p = sub.add_parser("random", help="random-subset search", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_search_flags(p)
@@ -308,10 +307,10 @@ def main(argv=None) -> int:
     started = _utcnow()
     try:
         base = _base_path(args.out)
-        outputs, summary, partial = args.func(args, base)
-        manifest = _write_manifest(base, args, outputs, started, partial)
+        outputs, summary, stop = args.func(args, base)
+        manifest = _write_manifest(base, args, outputs, started, stop)
         print(f"{args.command}: {summary} -> {', '.join([*outputs, manifest])}")
-        return 3 if partial else 0
+        return 3 if stop is not None else 0
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

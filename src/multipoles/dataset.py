@@ -64,16 +64,16 @@ class TimeSeriesDataset:
 class CorrelationMatrix:
     """Symmetric unit-diagonal matrix with entries in [-1, 1], PSD within 1e-9.
 
-    Every matrix given as entries is checked; the eigenvalue check runs only
+    Every matrix given as entries is checked (a diagonal within 1e-12 of 1,
+    as np.corrcoef leaves it, is stored as 1); the eigenvalue check runs only
     for dimensions up to 64 (the eigensolver cap). correlation_matrix builds
-    its Gram matrices of standardized data, PSD by construction, without
-    the checks.
+    its Gram matrices of standardized data, PSD by construction, unchecked.
     """
 
     entries: NDArray[np.float64]
 
     def __post_init__(self):
-        M = np.asarray(self.entries, dtype=np.float64)
+        M = np.array(self.entries, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
         if M.shape[0] < 2:
@@ -84,13 +84,13 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix is not symmetric within 1e-12")
         if np.max(np.abs(M)) > 1.0 + 1e-12:
             raise ValueError("correlation entries must lie in [-1, 1]")
-        if np.max(np.abs(np.diag(M) - 1.0), initial=0.0) != 0.0:
-            raise ValueError("diagonal entries must be exactly 1")
+        if np.max(np.abs(np.diag(M) - 1.0), initial=0.0) > 1e-12:
+            raise ValueError("diagonal entries must lie within 1e-12 of 1")
+        np.fill_diagonal(M, 1.0)
         if M.shape[0] <= linalg.MAX_DIM:
             values, _ = linalg.eigh_many(((M + M.T) / 2.0)[None, :, :], vectors=False)
             if values[0, 0] < -1e-9:
                 raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0, 0]:.3e}")
-        M = M.copy()
         M.flags.writeable = False
         object.__setattr__(self, "entries", M)
 
@@ -144,7 +144,7 @@ def load_csv(path) -> TimeSeriesDataset:
                     raise ValueError(f"{path}: non-finite value at row {r}, column {c}")
                 parsed.append(x)
             rows.append(parsed)
-    return TimeSeriesDataset(names=tuple(names), values=np.asarray(rows, dtype=np.float64))
+    return TimeSeriesDataset(names=tuple(names), values=np.asarray(rows, dtype=np.float64).reshape(len(rows), width))
 
 
 def save_csv(d: TimeSeriesDataset, path) -> None:

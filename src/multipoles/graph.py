@@ -19,16 +19,11 @@ import numpy as np
 from . import dataset, measures
 
 
-class CliqueBudgetExceeded(RuntimeError):
-    """Raised when enumeration finds more cliques than the configured budget.
+class MiningBudgetExceeded(RuntimeError):
+    """A search stage hit the work budget; partial holds what that stage had produced."""
 
-    Carries the cliques found so far so callers can continue with partial
-    results if they choose.
-    """
-
-    def __init__(self, budget: int, partial: list[tuple[int, ...]]):
-        super().__init__(f"maximal-clique budget of {budget} exceeded")
-        self.budget = budget
+    def __init__(self, message: str, partial: list):
+        super().__init__(message)
         self.partial = partial
 
 
@@ -67,7 +62,7 @@ def build_graph(A, rho: float) -> PromisingGraph:
     return PromisingGraph(n_variables=n, rho=float(rho), adjacency=adjacency)
 
 
-def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: int = 10_000_000) -> list[tuple[int, ...]]:
+def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: float = float("inf")) -> list[tuple[int, ...]]:
     """Maximal cliques of at least min_size nodes, one per mirror pair, canonically sorted.
 
     The graph is assumed mirror-symmetric, as build_graph makes it, so the
@@ -75,8 +70,8 @@ def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: int = 10_000_0
     lowest variable in copy 1, and only that one is reported. Bron-Kerbosch
     with pivoting is rooted at each copy-1 node v in variable order, with
     the neighbours of higher variable as candidates and those of lower
-    variable as excluded. Exceeding the clique budget raises
-    CliqueBudgetExceeded carrying the partial list.
+    variable as excluded. Finding more than budget cliques raises
+    MiningBudgetExceeded carrying the first budget of them, sorted.
     """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
@@ -89,7 +84,7 @@ def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: int = 10_000_0
             if len(r) >= min_size:
                 found.append(tuple(sorted(r)))
                 if len(found) > budget:
-                    raise CliqueBudgetExceeded(budget, found[:budget])
+                    raise MiningBudgetExceeded(f"clique stage stopped at the budget of {budget} cliques", sorted(found[:budget]))
             return
         pivot = max(p | x, key=lambda v: (len(p & neighbors[v]), -v))
         for v in sorted(p - neighbors[pivot]):

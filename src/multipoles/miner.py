@@ -17,6 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds, dataset, graph, linalg, measures
+from .graph import MiningBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,14 @@ class MinerConfig:
     delta_threshold (never below 3). rho = 0 keeps only sign patterns whose
     adjusted correlations are all nonpositive; raising rho toward 1 admits
     weaker candidates at growing cost, degenerating to exhaustive search.
+    budget caps the work of each search stage (see mine and brute_force).
     """
 
     sigma_threshold: float = 0.5
     delta_threshold: float = 0.15
     rho: float = 0.0
     max_size: int | None = None
-    clique_budget: int = 10_000_000
+    budget: int = 2_000_000
 
     def __post_init__(self):
         if not (0.0 <= self.sigma_threshold <= 1.0):
@@ -44,21 +46,13 @@ class MinerConfig:
             raise ValueError(f"rho must be in [-1,1], got {self.rho}")
         if self.max_size is not None and self.max_size < 3:
             raise ValueError(f"max-size must be >= 3, got {self.max_size}")
-        if self.clique_budget < 1:
-            raise ValueError("clique_budget must be positive")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
     def resolved_max_size(self) -> int:
         if self.max_size is not None:
             return self.max_size
         return max(3, bounds.max_size_for_gain(self.delta_threshold))
-
-
-class MiningBudgetExceeded(RuntimeError):
-    """A search budget was hit; carries whatever results the processed part produced."""
-
-    def __init__(self, message: str, records: list):
-        super().__init__(message)
-        self.records = records
 
 
 def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64]:
@@ -95,7 +89,7 @@ def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma,
     ]
 
 
-def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: bool) -> list[measures.MultipoleRecord]:
+def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: bool) -> tuple[list[measures.MultipoleRecord], str | None]:
     """Records of the qualifying sets reached from the sorted member tuples, largest first.
 
     The subset lattice is walked one size level at a time, top down. A level
@@ -106,7 +100,10 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
     their level; with descend, so is every child of a survivor, except below
     a given tuple that qualifies whole (within the size cap), which is kept
     whole. Dependence is monotone in set inclusion, so nothing below a
-    failing set can survive. Only two levels are held at a time.
+    failing set can survive. Only two levels are held at a time. At most
+    cfg.budget member sets are solved: a level that would go past it is not,
+    and the records so far (two or more sizes above it) come back with a stop
+    message naming that size; a complete walk's message is None.
     """
     max_size = cfg.resolved_max_size()
     given: dict[int, dict[tuple[int, ...], None]] = {}
@@ -117,6 +114,7 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
     up: list[tuple[int, ...]] = []
     up_lam = up_sig = np.empty(0)
     up_reached = np.empty(0, dtype=bool)
+    solved = 0
     for s in range(max(given, default=2), 1, -1):
         row = {t: i for i, t in enumerate(given.get(s, ()))}
         n_given = len(row)
@@ -126,6 +124,8 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
             count=len(up) * (s + 1),
         ).reshape(len(up), s + 1)
         members = list(row)
+        if (solved := solved + len(members)) > cfg.budget:
+            return records, f"subset lattice stopped at size {s}: solving it would exceed the budget of {cfg.budget} sets"
         lam = _lambda_min(M, members)
         qualifies = np.zeros(len(up), dtype=bool)
         if s < max_size:  # the survivors one level up are within the size cap
@@ -143,7 +143,7 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
         keep = np.nonzero((scored | reached) & (sig >= cfg.sigma_threshold))[0]
         up = [members[i] for i in keep]
         up_lam, up_sig, up_reached = lam[keep], sig[keep], reached[keep]
-    return records
+    return records, None
 
 
 def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
@@ -159,7 +159,7 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
     k = len(candidate.members)
     if k < 3:
         raise ValueError(f"candidate needs at least 3 members, got {k}")
-    return _lattice(dataset._resolve_matrix(A).entries, [candidate.members], cfg, descend=True)
+    return _finished(*_lattice(dataset._resolve_matrix(A).entries, [candidate.members], cfg, descend=True))
 
 
 def _drop_contained(items, members_of) -> list:
@@ -195,6 +195,13 @@ def _final_sort(records) -> list[measures.MultipoleRecord]:
     return sorted(records, key=lambda r: (-r.gain, -r.sigma, r.signed))
 
 
+def _finished(out, *stops) -> list[measures.MultipoleRecord]:
+    """out, or MiningBudgetExceeded carrying it as partial if a stage gave a stop message."""
+    if any(stops):
+        raise MiningBudgetExceeded("; ".join(stop for stop in stops if stop), out)
+    return out
+
+
 def _dedup_candidates(g: graph.PromisingGraph, cliques) -> list[tuple[int, ...]]:
     """Sorted member tuples of the cliques, each distinct one once, in first-seen order.
 
@@ -214,42 +221,38 @@ def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     for threshold-satisfying subsets; duplicates and non-maximal sets are
     removed; output is sorted by descending gain, then descending dependence,
     then members. Deterministic for fixed input and config.
+    After a clique budget stop the lattice still searches the candidates
+    found; either stop raises MiningBudgetExceeded with the records found.
     """
     A = dataset._resolve_matrix(data)
     g = graph.build_graph(A, cfg.rho)
-    partial = False
     try:
-        cliques = graph.maximal_cliques(g, min_size=3, budget=cfg.clique_budget)
-    except graph.CliqueBudgetExceeded as e:
-        cliques = sorted(e.partial)
-        partial = True
-    candidates = _dedup_candidates(g, cliques)
-    final = _final_sort(remove_non_maximal(_lattice(A.entries, candidates, cfg, descend=True)))
-    if partial:
-        raise MiningBudgetExceeded(
-            f"clique budget of {cfg.clique_budget} exceeded after {len(candidates)} candidates; results are partial",
-            final,
-        )
-    return final
+        cliques, clique_stop = graph.maximal_cliques(g, min_size=3, budget=cfg.budget), None
+    except MiningBudgetExceeded as e:
+        cliques, clique_stop = e.partial, str(e)
+    records, lattice_stop = _lattice(A.entries, _dedup_candidates(g, cliques), cfg, descend=True)
+    return _finished(_final_sort(remove_non_maximal(records)), clique_stop, lattice_stop)
 
 
-def brute_force(data, cfg: MinerConfig, subset_budget: int = 2_000_000) -> list[measures.MultipoleRecord]:
+def brute_force(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     """Evaluate every subset of sizes 3..max_size; the completeness oracle.
 
     No pruning and no graph: results are exactly the maximal threshold-
     satisfying sets. Every subset enters the lattice at its size, so each is
     solved once and also serves as a deletion of the sets one size up.
-    Refuses instances whose subset count exceeds the budget. Input is
+    An instance with more subsets of sizes 2..max_size (the most its lattice
+    solves) than cfg.budget is refused at once, with no records. Input is
     resolved and validated as in mine.
     """
     M = dataset._resolve_matrix(data).entries
     n = M.shape[0]
     smax = min(n, cfg.resolved_max_size())
-    total = sum(math.comb(n, s) for s in range(3, smax + 1))
-    if total > subset_budget:
-        raise MiningBudgetExceeded(f"{total} subsets exceed the budget of {subset_budget}", records=[])
+    total = sum(math.comb(n, s) for s in range(2, smax + 1))
+    if total > cfg.budget:
+        return _finished([], f"brute force refused: {total} subsets of sizes 2 to {smax} exceed the budget of {cfg.budget}")
     subsets = (c for s in range(3, smax + 1) for c in itertools.combinations(range(n), s))
-    return _final_sort(remove_non_maximal(_lattice(M, subsets, cfg, descend=False)))
+    records, stop = _lattice(M, subsets, cfg, descend=False)
+    return _finished(_final_sort(remove_non_maximal(records)), stop)
 
 
 def random_search(A, cfg: MinerConfig, trials: int, seed: int = 0) -> list[measures.MultipoleRecord]:
@@ -258,20 +261,23 @@ def random_search(A, cfg: MinerConfig, trials: int, seed: int = 0) -> list[measu
 
     Only drawn sets are reported, never their subsets. No maximality
     filtering: the output approximates the full solution family, for use as a
-    pseudo-complete reference on large instances. Input is resolved and
-    validated as in mine.
+    pseudo-complete reference on large instances (empty on fewer than 3
+    variables). Input is resolved and validated as in mine.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     M = dataset._resolve_matrix(A).entries
     n = M.shape[0]
     smax = min(n, cfg.resolved_max_size())
+    if smax < 3:
+        return []
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(trials):
         size = int(rng.integers(3, smax + 1))
         draws.append(tuple(int(x) for x in np.sort(rng.choice(n, size=size, replace=False))))
-    return _final_sort(_lattice(M, draws, cfg, descend=False))
+    records, stop = _lattice(M, draws, cfg, descend=False)
+    return _finished(_final_sort(records), stop)
 
 
 def records_to_dicts(records, names=None) -> list[dict]:

@@ -37,6 +37,7 @@ def test_mine_writes_results_and_manifest(tmp_path, planted_csv):
     manifest = json.loads((tmp_path / "r.manifest.json").read_text())
     assert manifest["command"] == "mine"
     assert manifest["partial"] is False
+    assert manifest["stop"] is None
     assert "seed" not in manifest["config"]
     recs = json.loads(out.read_text())
     assert len(recs) == 1
@@ -61,16 +62,28 @@ def test_mine_validation_exit_codes(tmp_path, planted_csv, capsys):
     assert run(["mine", "--input", path, "--sigma", "2", "--out", out]) == 2
     assert run(["mine", "--input", path, "--rho", "-3", "--out", out]) == 2
     assert run(["mine", "--input", tmp_path / "nope.csv", "--out", out]) == 2
+    assert run(["mine", "--input", path, "--budget", "0", "--out", out]) == 2
+    assert "budget must be >= 1" in capsys.readouterr().err
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b,c\n")
+    assert run(["mine", "--input", header_only, "--out", out]) == 2
+    assert "at least 3 rows, got 0" in capsys.readouterr().err
 
 
 def test_mine_budget_exit_code(tmp_path, planted_csv):
     path, _, _ = planted_csv
-    for command, *budget in (["mine", "--rho", "1", "--clique-budget", "2"], ["brute", "--subset-budget", "10"]):
-        out = tmp_path / f"{command}-partial.json"
-        code = run([command, "--input", path, *budget, "--out", out])
+    # the clique and lattice stages of mine (24 cliques at rho 0), and brute's refusal
+    for name, command, flags, stop in (
+        ("clique", "mine", ["--rho", "1", "--budget", "2"], "clique stage stopped"),
+        ("lattice", "mine", ["--budget", "25"], "subset lattice stopped at size 2"),
+        ("brute", "brute", ["--budget", "10"], "brute force refused"),
+    ):
+        out = tmp_path / f"{name}-partial.json"
+        code = run([command, "--input", path, *flags, "--out", out])
         assert code == 3
-        manifest = json.loads((tmp_path / f"{command}-partial.manifest.json").read_text())
+        manifest = json.loads((tmp_path / f"{name}-partial.manifest.json").read_text())
         assert manifest["partial"] is True
+        assert manifest["stop"].startswith(stop)
         assert out.exists()  # partial results still written
     # brute refuses the whole instance: its result is empty
     assert json.loads((tmp_path / "brute-partial.json").read_text()) == []

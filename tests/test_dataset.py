@@ -55,6 +55,9 @@ def test_correlation_matrix_validation():
     bad_diag = np.array([[1.0, 0.2], [0.2, 0.999]])
     with pytest.raises(ValueError, match="diagonal"):
         CorrelationMatrix(entries=bad_diag)
+    ulp_off = np.array([[1.0 - 2**-53, 0.2], [0.2, 1.0 + 2**-52]])
+    assert np.array_equal(np.diag(CorrelationMatrix(entries=ulp_off).entries), [1.0, 1.0])
+    assert ulp_off[0, 0] != 1.0  # the caller's matrix is not modified
     asym = np.array([[1.0, 0.2], [0.3, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         CorrelationMatrix(entries=asym)
@@ -115,6 +118,13 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
     p = tmp_path / "ragged.csv"
     p.write_text("a,b\n1,2\n3\n5,6\n")
     with pytest.raises(ValueError, match="row 2"):
+        load_csv(p)
+
+
+def test_load_csv_rejects_header_only(tmp_path):
+    p = tmp_path / "header.csv"
+    p.write_text("a,b,c\n")
+    with pytest.raises(ValueError, match="at least 3 rows, got 0"):
         load_csv(p)
 
 

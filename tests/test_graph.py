@@ -7,7 +7,7 @@ import pytest
 
 from multipoles import measures
 from multipoles.graph import (
-    CliqueBudgetExceeded,
+    MiningBudgetExceeded,
     PromisingGraph,
     build_graph,
     clique_to_signed_set,
@@ -182,9 +182,9 @@ def test_matches_brute_force_on_random_graphs():
 
 def test_budget_exceeded_carries_partial_results():
     g = graph_from_edges(6, list(itertools.combinations(range(6), 2))[:10])
-    with pytest.raises(CliqueBudgetExceeded) as exc:
+    with pytest.raises(MiningBudgetExceeded) as exc:
         maximal_cliques(g, budget=2)
-    assert exc.value.budget == 2
+    assert "budget of 2 cliques" in str(exc.value)
     assert len(exc.value.partial) == 2
     full = maximal_cliques(g)
     for c in exc.value.partial:

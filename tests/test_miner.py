@@ -3,6 +3,7 @@ oracle equivalence against exhaustive search."""
 
 import itertools
 import json
+import re
 import time
 from collections import Counter
 
@@ -326,6 +327,13 @@ def test_raw_matrix_input_is_validated(search, kind):
         search(malformed(kind), cfg)
 
 
+@pytest.mark.parametrize("search", [mine, brute_force, random_search_10, build_graph])
+def test_corrcoef_input_is_accepted(search):
+    a = np.corrcoef(np.random.default_rng(0).standard_normal((7, 50)))
+    assert np.any(np.diag(a) != 1.0)  # np.corrcoef leaves it an ulp off
+    search(a, MinerConfig())
+
+
 def test_mine_matches_brute_force_at_rho_one():
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15, rho=1.0)
     for seed in range(8):
@@ -432,11 +440,27 @@ def test_no_member_set_is_solved_twice(monkeypatch, search):
 def test_mine_clique_budget_carries_partial_results():
     d = gaussian_dataset(equicorrelated(3, -0.5), T=400, seed=68, extra_noise=9)
     cfg = MinerConfig(
-        sigma_threshold=0.5, delta_threshold=0.15, rho=1.0, clique_budget=3
+        sigma_threshold=0.5, delta_threshold=0.15, rho=1.0, budget=3
     )
     with pytest.raises(MiningBudgetExceeded) as exc:
         mine(d, cfg)
-    assert isinstance(exc.value.records, list)
+    assert isinstance(exc.value.partial, list)
+    assert str(exc.value).startswith("clique stage stopped at the budget of 3 cliques")
+
+
+def test_lattice_budget_keeps_the_records_made_before_the_stop():
+    # a stop at size s comes after the sets of size s + 2 and up are scored
+    d = gaussian_dataset(two_blocks(), T=600, seed=5, extra_noise=3)
+    full = mine(d, MinerConfig(rho=1.0))
+    kept = []
+    for budget in (600, 850, 930):  # 2^9 cliques fit: only the lattice stops
+        with pytest.raises(MiningBudgetExceeded) as exc:
+            mine(d, MinerConfig(rho=1.0, budget=budget))
+        match = re.fullmatch(r"subset lattice stopped at size (\d+): .* budget of \d+ sets", str(exc.value))
+        stop = int(match.group(1))
+        assert exc.value.partial == [r for r in full if r.size >= stop + 2]
+        kept += exc.value.partial
+    assert [r.members for r in kept] == [(3, 4, 5, 6)]
 
 
 # ---------------------------------------------------------------- brute force
@@ -455,9 +479,15 @@ def test_brute_force_finds_planted_triple():
 
 
 def test_brute_force_subset_budget():
-    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15, budget=100)
     with pytest.raises(MiningBudgetExceeded):
-        brute_force(np.eye(40), cfg, subset_budget=100)
+        brute_force(np.eye(40), cfg)
+
+
+def test_searches_on_two_variables_are_empty():
+    a = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    cfg = MinerConfig()
+    assert mine(a, cfg) == brute_force(a, cfg) == random_search(a, cfg, trials=5) == []
 
 
 # ---------------------------------------------------------------- random search

@@ -1,14 +1,17 @@
 """Package surface: every advertised export exists, every function the
-benchmark's layer tracer wraps is still there, and no private helper is left
-without a caller."""
+benchmark's layer tracer wraps is still there, no private helper is left
+without a caller, and README names only flags the parser defines."""
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import multipoles
 from multipoles import bounds, dataset, graph, linalg, measures, miner, stats
+from multipoles.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(multipoles.__file__).resolve().parent
@@ -70,3 +73,14 @@ def test_every_private_helper_has_a_caller():
     ]
     assert private
     assert [name for name in private if name.split(".", 1)[1] not in used] == []
+
+
+def test_readme_command_line_flags_exist():
+    # a flag README's "Command line" section names but no subcommand defines is a stale doc
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    defined = {flag for sub in subcommands.values() for a in sub._actions for flag in a.option_strings}
+    assert named
+    assert sorted(named - defined) == []
