@@ -64,13 +64,26 @@ def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64
 # stack, and only a brute-force level of 10^5 subsets comes near this.
 _STACK_ROWS = 1 << 15
 
+# A set whose smallest eigenvalue provably exceeds 1 - sigma_threshold by this
+# much fails sigma whatever Jacobi's error (about 1e-14) would make of it.
+_SCREEN_MARGIN = 1e-9
 
-def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]]) -> NDArray[np.float64]:
-    """Smallest eigenvalue of the principal submatrix of each same-size member tuple."""
+
+def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]], cuts: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Smallest eigenvalue of the principal submatrix of each same-size member tuple.
+
+    A tuple whose Gershgorin floor 1 - max_i sum_{j != i} |a_ij| (a lower
+    bound on its smallest eigenvalue) is above its entry in cuts is not
+    solved, and its entry is inf. One gather per stack serves the floor and
+    the solve.
+    """
     sel = np.asarray(members, dtype=np.intp)
-    stacks = range(0, len(members), _STACK_ROWS)
-    lams = [linalg.eigh_many(_gather(M, sel[i : i + _STACK_ROWS]), vectors=False)[0][:, 0] for i in stacks]
-    return np.concatenate(lams or [np.empty(0)])
+    lam = np.full(len(members), np.inf)
+    for i in range(0, len(members), _STACK_ROWS):
+        sub = _gather(M, sel[i : i + _STACK_ROWS])
+        solve = 2.0 - np.abs(sub).sum(axis=2).max(axis=1) <= cuts[i : i + _STACK_ROWS]
+        lam[i : i + _STACK_ROWS][solve] = linalg.eigh_many(sub[solve], vectors=False)[0][:, 0]
+    return lam
 
 
 def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma, gain) -> list[measures.MultipoleRecord]:
@@ -94,16 +107,30 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
 
     The subset lattice is walked one size level at a time, top down. A level
     holds the given tuples of its size and the one-member deletions (children)
-    of the sigma-survivors one level up; each distinct tuple is solved once,
+    of the sigma-survivors one level up; each distinct tuple is scored once,
     in one stack per level (up to _STACK_ROWS). A survivor's gain is its
     children's smallest eigenvalue minus its own. Given tuples are scored at
     their level; with descend, so is every child of a survivor, except below
     a given tuple that qualifies whole (within the size cap), which is kept
     whole. Dependence is monotone in set inclusion, so nothing below a
-    failing set can survive. Only two levels are held at a time. At most
-    cfg.budget member sets are solved: a level that would go past it is not,
-    and the records so far (two or more sizes above it) come back with a stop
-    message naming that size; a complete walk's message is None.
+    failing set can survive. Only two levels are held at a time.
+
+    A tuple's smallest eigenvalue is read for its sigma and, if it is a child
+    of a survivor within the size cap, for that survivor's gain. A tuple read
+    for its sigma alone is not solved (its eigenvalue is inf, see _lambda_min)
+    when it provably fails sigma by _SCREEN_MARGIN, far more than Jacobi's
+    error: when its Gershgorin floor is above 1 - sigma_threshold +
+    _SCREEN_MARGIN, since its smallest eigenvalue is at least the floor; or,
+    on a level above the size cap, when a set one level up that contains it
+    failed sigma by the margin, since by interlacing its smallest eigenvalue
+    is at least that set's. So the records are those of solving every tuple.
+    At sigma_threshold 0 no floor (never above 1) clears the cut and no set
+    fails, so every tuple is solved.
+
+    At most cfg.budget member sets are scored, solved or not: a level
+    that would go past it is not, and the records so far (two or more sizes
+    above it) come back with a stop message naming that size; a complete
+    walk's message is None.
     """
     max_size = cfg.resolved_max_size()
     given: dict[int, dict[tuple[int, ...], None]] = {}
@@ -114,7 +141,10 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
     up: list[tuple[int, ...]] = []
     up_lam = up_sig = np.empty(0)
     up_reached = np.empty(0, dtype=bool)
-    solved = 0
+    # sets one level up that fail sigma by the margin, above the size cap
+    failed: list[tuple[int, ...]] = []
+    spent = 0
+    cut = 1.0 - cfg.sigma_threshold + _SCREEN_MARGIN
     for s in range(max(given, default=2), 1, -1):
         row = {t: i for i, t in enumerate(given.get(s, ()))}
         n_given = len(row)
@@ -124,11 +154,16 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
             count=len(up) * (s + 1),
         ).reshape(len(up), s + 1)
         members = list(row)
-        if (solved := solved + len(members)) > cfg.budget:
-            return records, f"subset lattice stopped at size {s}: solving it would exceed the budget of {cfg.budget} sets"
-        lam = _lambda_min(M, members)
-        qualifies = np.zeros(len(up), dtype=bool)
+        if (spent := spent + len(members)) > cfg.budget:
+            return records, f"subset lattice stopped at size {s}: scoring it would exceed the budget of {cfg.budget} sets"
+        cuts = np.full(len(members), cut)
         if s < max_size:  # the survivors one level up are within the size cap
+            cuts[children] = np.inf
+        # no solve for a child of a failed set
+        cuts[[j for t in failed for i in range(s + 1) if (j := row.get(t[:i] + t[i + 1 :])) is not None]] = -np.inf
+        lam = _lambda_min(M, members, cuts)
+        qualifies = np.zeros(len(up), dtype=bool)
+        if s < max_size:
             gain = lam[children].min(axis=1) - up_lam
             qualifies = gain >= cfg.delta_threshold
             if qualifies.any():
@@ -143,6 +178,7 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
         keep = np.nonzero((scored | reached) & (sig >= cfg.sigma_threshold))[0]
         up = [members[i] for i in keep]
         up_lam, up_sig, up_reached = lam[keep], sig[keep], reached[keep]
+        failed = [members[i] for i in np.nonzero(sig < cfg.sigma_threshold - _SCREEN_MARGIN)[0]] if s > max_size else []
     return records, None
 
 
@@ -152,9 +188,9 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
     If the candidate passes both thresholds (and the size cap) it is returned
     alone. Otherwise, if its dependence clears sigma_threshold, its subsets of
     size 3..max_size are searched down the subset lattice, largest first, with
-    monotonicity pruning; each subset's smallest eigenvalue is solved once. A
-    candidate below sigma_threshold yields nothing. This is mine's extraction
-    on one candidate. Input is resolved and validated as in mine.
+    monotonicity pruning; each subset is scored once. A candidate below
+    sigma_threshold yields nothing. This is mine's extraction on one
+    candidate. Input is resolved and validated as in mine.
     """
     k = len(candidate.members)
     if k < 3:
@@ -239,7 +275,7 @@ def brute_force(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
 
     No pruning and no graph: results are exactly the maximal threshold-
     satisfying sets. Every subset enters the lattice at its size, so each is
-    solved once and also serves as a deletion of the sets one size up.
+    scored once and also serves as a deletion of the sets one size up.
     An instance with more subsets of sizes 2..max_size (the most its lattice
     solves) than cfg.budget is refused at once, with no records. Input is
     resolved and validated as in mine.

@@ -437,6 +437,95 @@ def test_no_member_set_is_solved_twice(monkeypatch, search):
     assert max(solved.values()) == 1
 
 
+def gershgorin_floor(A, members):
+    return 1.0 - max(np.abs(A[np.ix_(members, members)]).sum(axis=1) - 1.0)
+
+
+def edge_sigmas(A, max_size, sigma_of):
+    """Sigma thresholds that put a set's screen just either side of its cut.
+
+    For the set of each size up to max_size with the highest Gershgorin floor
+    f: 1 - sigma + 1e-9 = f -+ 1e-12, so the floor sits just above or just
+    below the cut. For each floor f that is also a set's smallest eigenvalue:
+    sigma = 1 - f - 1e-12, which that set just clears. For the set of each
+    size above max_size with the median dependence d: sigma - 1e-9 = d -+ 1e-12,
+    so it fails sigma just by or just within the margin below which its
+    children are not solved.
+    """
+    n = A.shape[0]
+    out = []
+    tight = set()
+    for size in range(3, max_size + 1):
+        floors = {s: gershgorin_floor(A, s) for s in itertools.combinations(range(n), size)}
+        f = max(floors.values())
+        out += [1.0 - f + 1e-9 + 1e-12, 1.0 - f + 1e-9 - 1e-12]
+        tight |= {f for s, f in floors.items() if abs(f - (1.0 - sigma_of[s])) < 1e-12}
+    out += [1.0 - f - 1e-12 for f in sorted(tight)]
+    for size in range(max_size + 1, n):
+        d = float(np.median([sigma_of[s] for s in itertools.combinations(range(n), size)]))
+        out += [d + 1e-9 + 1e-12, d + 1e-9 - 1e-12]
+    return out
+
+
+def test_screened_searches_match_direct_evaluation():
+    # Around each screen's threshold every search returns exactly the sets
+    # that measures.linear_dependence / linear_gain qualify. Inside the two
+    # equicorrelated blocks the Gershgorin floor is the smallest eigenvalue,
+    # so a screen that cut too deep would drop sets that clear sigma; and
+    # variable 7 is uncorrelated with the 4-block, so adding it leaves the
+    # block's dependence as it is, and a skip below failed parents that cut
+    # too deep would drop the block.
+    rng = np.random.default_rng(76)
+    A = np.eye(8) + np.triu(rng.uniform(-0.02, 0.02, (8, 8)), 1)
+    A[np.ix_([0, 1, 2], [0, 1, 2])] = equicorrelated(3, -0.4)
+    A[np.ix_([3, 4, 5, 6], [3, 4, 5, 6])] = equicorrelated(4, -0.25)
+    A[3:7, 7] = 0.0
+    A = np.triu(A) + np.triu(A, 1).T
+    n, max_size, delta = A.shape[0], 4, 0.05
+    assert gershgorin_floor(A, [3, 4, 5, 6]) == pytest.approx(measures.lvnlc(A, [3, 4, 5, 6])[0], abs=1e-15)
+    subsets = [s for size in range(3, n + 1) for s in itertools.combinations(range(n), size)]
+    sigma_of = {s: measures.linear_dependence(A, s) for s in subsets}
+    gain_of = {s: measures.linear_gain(A, s) for s in subsets if len(s) <= max_size}
+    sigmas = edge_sigmas(A, max_size, sigma_of)
+    assert len(sigmas) == 14 and all(0.0 < x < 1.0 for x in sigmas)
+    found = 0
+    for sigma in sigmas:
+        cfg = MinerConfig(sigma_threshold=sigma, delta_threshold=delta, max_size=max_size, rho=1.0)
+        want = {s for s, g in gain_of.items() if sigma_of[s] >= sigma and g >= delta}
+        maximal = {s for s in want if not any(set(s) < set(t) for t in want)}
+        found += len(want)
+        assert {r.members for r in brute_force(A, cfg)} == maximal
+        assert mine(A, cfg) == brute_force(A, cfg)
+        assert {r.members for r in random_search(A, cfg, trials=3000, seed=75)} == want
+        assert {r.members for r in extract_from_candidate(A, cand(range(n)), cfg)} == want
+    assert found
+
+
+@pytest.mark.parametrize("search", ["mine", "brute"])
+def test_screen_solves_fewer_sets_than_it_scores(monkeypatch, search):
+    # on white noise most sets are certified to fail sigma by their Gershgorin
+    # floor, and none is solved twice
+    data = gaussian_dataset(np.eye(3), T=100, seed=74, extra_noise=9)
+    scored = []
+    solved = Counter()
+    lambda_min, eigh_many = miner._lambda_min, linalg.eigh_many
+
+    def scoring(M, members, cuts):
+        scored.append(len(members))
+        return lambda_min(M, members, cuts)
+
+    def counting(mats, vectors=True):
+        if not vectors:
+            solved.update(m.tobytes() for m in mats)
+        return eigh_many(mats, vectors)
+
+    monkeypatch.setattr(miner, "_lambda_min", scoring)
+    monkeypatch.setattr(linalg, "eigh_many", counting)
+    assert (mine if search == "mine" else brute_force)(data, MinerConfig(sigma_threshold=0.3)) == []
+    assert 0 < sum(solved.values()) < sum(scored)
+    assert max(solved.values()) == 1
+
+
 def test_mine_clique_budget_carries_partial_results():
     d = gaussian_dataset(equicorrelated(3, -0.5), T=400, seed=68, extra_noise=9)
     cfg = MinerConfig(
