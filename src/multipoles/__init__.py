@@ -30,11 +30,9 @@ from .bounds import BoundReport, bound_report, check_bounds, max_size_for_gain
 from .graph import PromisingGraph, build_graph, clique_to_signed_set, maximal_cliques
 from .miner import MinerConfig, MiningBudgetExceeded, brute_force, extract_from_candidate, mine, random_search, remove_non_maximal
 from .stats import (
-    ScatterSample,
     member_contribution,
     reproducibility,
     sample_planted_matrices,
-    scatter,
     significance_sigma,
     synth_dataset,
 )
@@ -72,9 +70,7 @@ __all__ = [
     "remove_non_maximal",
     "brute_force",
     "random_search",
-    "ScatterSample",
     "sample_planted_matrices",
-    "scatter",
     "synth_dataset",
     "significance_sigma",
     "member_contribution",

@@ -27,6 +27,8 @@ from numpy.typing import NDArray
 
 from . import linalg, measures
 
+_TOL = 1e-9  # slack before an inequality counts as violated
+
 
 @dataclass(frozen=True)
 class ColumnBound:
@@ -96,6 +98,18 @@ def _bound_parts(mats: NDArray[np.float64]) -> _Parts:
     )
 
 
+def _inequalities(p: _Parts):
+    """(kind, lhs, rhs) of each bound, failed where lhs > rhs + _TOL; sides are (B, k) per column or (B, 1)."""
+    gain = p.gain[:, None]
+    return (
+        ("theorem1_norm2", p.deltas, p.norm2),
+        ("theorem1_norm1", p.norm2, p.norm1),
+        ("corollary1", gain, p.corollary1[:, None]),
+        ("corollary2", gain, p.corollary2[:, None]),
+        ("size_cap", gain, p.size_cap[:, None]),
+    )
+
+
 def bound_report(A) -> BoundReport:
     """Every bound quantity of one matrix: row 0 of the stack_report_rows kernel.
 
@@ -117,27 +131,19 @@ def bound_report(A) -> BoundReport:
     )
 
 
-def check_bounds(A, tol: float = 1e-9) -> list[BoundViolation]:
+def check_bounds(A) -> list[BoundViolation]:
     """Evaluate the bound chain and return every inequality that fails.
 
-    Kinds: theorem1_norm2, theorem1_norm1 (per column), corollary1,
-    corollary2, size_cap (aggregate). The first four are proved and a
-    violation indicates a numerical defect; size_cap is empirical.
+    Kinds, in this order: theorem1_norm2, theorem1_norm1 (per column),
+    corollary1, corollary2, size_cap (aggregate). The first four are proved
+    and a violation indicates a numerical defect; size_cap is empirical.
     """
-    rep = bound_report(A)
-    out: list[BoundViolation] = []
-    for cb in rep.columns:
-        if cb.delta_lambda > cb.c_norm2 + tol:
-            out.append(BoundViolation("theorem1_norm2", cb.column, cb.delta_lambda, cb.c_norm2))
-        if cb.c_norm2 > cb.c_norm1 + tol:
-            out.append(BoundViolation("theorem1_norm1", cb.column, cb.c_norm2, cb.c_norm1))
-    if rep.gain > rep.corollary1_bound + tol:
-        out.append(BoundViolation("corollary1", -1, rep.gain, rep.corollary1_bound))
-    if rep.gain > rep.corollary2_bound + tol:
-        out.append(BoundViolation("corollary2", -1, rep.gain, rep.corollary2_bound))
-    if rep.gain > rep.size_cap_bound + tol:
-        out.append(BoundViolation("size_cap", -1, rep.gain, rep.size_cap_bound))
-    return out
+    p = _bound_parts(linalg._as_square(A)[None, :, :])
+    return [
+        BoundViolation(kind, -1 if lhs.shape[1] == 1 else int(j), float(lhs[0, j]), float(rhs[0, j]))
+        for kind, lhs, rhs in _inequalities(p)
+        for j in np.flatnonzero(lhs[0] > rhs[0] + _TOL)
+    ]
 
 
 def max_size_for_gain(delta: float) -> int:
@@ -151,7 +157,7 @@ def max_size_for_gain(delta: float) -> int:
     return int(math.floor((1.0 + delta) / delta + 1e-9))
 
 
-def stack_report_rows(mats: NDArray[np.float64], tol: float = 1e-9):
+def stack_report_rows(mats: NDArray[np.float64]):
     """Bound rows for a stack of same-size correlation matrices.
 
     Returns (gain, rho_s, corollary1, corollary2, size_cap, violated) arrays,
@@ -159,10 +165,5 @@ def stack_report_rows(mats: NDArray[np.float64], tol: float = 1e-9):
     random-matrix validator can process large samples.
     """
     p = _bound_parts(np.asarray(mats, dtype=np.float64))
-    violated = (
-        (p.deltas > p.norm2 + tol).any(axis=1)
-        | (p.norm2 > p.norm1 + tol).any(axis=1)
-        | (p.gain > p.corollary1 + tol)
-        | (p.gain > p.corollary2 + tol)
-    )
+    violated = np.any([(lhs > rhs + _TOL).any(axis=1) for _, lhs, rhs in _inequalities(p)[:4]], axis=0)
     return p.gain, p.rho_s, p.corollary1, p.corollary2, p.size_cap, violated

@@ -115,25 +115,27 @@ def cmd_merge(args, base: str):
     return [json_path, csv_path], f"{len(merged)} multipoles", None
 
 
-def _check_sample_size(args) -> None:
+def _sampled_report(args):
+    """stack_report_rows of the --count accepted matrices of size --k."""
     if not (3 <= args.k <= 8):
         raise ValueError("k must be in [3,8]")
     if args.count < 1:
         raise ValueError("count must be >= 1")
+    return bounds.stack_report_rows(stats._accepted_stack(args.k, args.count, args.seed))
 
 
 def cmd_sample(args, base: str):
-    _check_sample_size(args)
-    samples = stats.scatter(args.k, args.count, args.seed)
+    gain, rho_s, *_ = _sampled_report(args)
     csv_path = base + ".csv"
-    stats.write_scatter_csv(samples, csv_path)
-    return [csv_path], f"{len(samples)} matrices", None
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,gain,rho_s\n")
+        for g, r in zip(gain.tolist(), rho_s.tolist()):
+            fh.write(f"{args.k},{g!r},{r!r}\n")
+    return [csv_path], f"{args.count} matrices", None
 
 
 def cmd_bounds(args, base: str):
-    _check_sample_size(args)
-    stack = stats._accepted_stack(args.k, args.count, args.seed)
-    gain, rho_s, c1, c2, cap, violated = bounds.stack_report_rows(stack)
+    gain, rho_s, c1, c2, cap, violated = _sampled_report(args)
     csv_path = base + ".csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,gain,rho_s,corollary1,corollary2,size_cap,violated\n")

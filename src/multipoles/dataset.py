@@ -64,10 +64,11 @@ class TimeSeriesDataset:
 class CorrelationMatrix:
     """Symmetric unit-diagonal matrix with entries in [-1, 1], PSD within 1e-9.
 
-    Every matrix given as entries is checked (a diagonal within 1e-12 of 1,
-    as np.corrcoef leaves it, is stored as 1); the eigenvalue check runs only
-    for dimensions up to 64 (the eigensolver cap). correlation_matrix builds
-    its Gram matrices of standardized data, PSD by construction, unchecked.
+    Every matrix given as entries is checked, then stored as (M + M.T) / 2
+    with a unit diagonal (one within 1e-12 of 1, as np.corrcoef leaves it,
+    passes); the eigenvalue check runs only for dimensions up to 64 (the
+    eigensolver cap). correlation_matrix builds its Gram matrices of
+    standardized data, PSD by construction, unchecked.
     """
 
     entries: NDArray[np.float64]
@@ -86,9 +87,10 @@ class CorrelationMatrix:
             raise ValueError("correlation entries must lie in [-1, 1]")
         if np.max(np.abs(np.diag(M) - 1.0), initial=0.0) > 1e-12:
             raise ValueError("diagonal entries must lie within 1e-12 of 1")
+        M = (M + M.T) / 2.0
         np.fill_diagonal(M, 1.0)
         if M.shape[0] <= linalg.MAX_DIM:
-            values, _ = linalg.eigh_many(((M + M.T) / 2.0)[None, :, :], vectors=False)
+            values, _ = linalg.eigh_many(M[None, :, :], vectors=False)
             if values[0, 0] < -1e-9:
                 raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0, 0]:.3e}")
         M.flags.writeable = False

@@ -9,7 +9,6 @@ run is a prefix of a longer one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,15 +19,8 @@ from . import dataset, linalg, measures
 _DRAW_BATCH = 8192
 _PSD_TOL = 1e-10
 _MINOR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ScatterSample:
-    """Gain and self-canceling max correlation of one sampled matrix."""
-
-    k: int
-    gain: float
-    rho_s: float
+_PLANT_LAMBDA_FLOOR = 1e-4
+_PLANT_STALL_BATCHES = 64  # consecutive empty proposal batches before giving up
 
 
 def _minors_pass(mats: NDArray[np.float64]) -> NDArray[np.bool_]:
@@ -69,30 +61,9 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
         mats[:, ju, iu] = draws
         mats = mats[_minors_pass(mats)]
         lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-        ok = lam >= -_PSD_TOL
-        accepted = mats[ok]
-        chunks.append(accepted)
-        have += accepted.shape[0]
+        chunks.append(mats[lam >= -_PSD_TOL])
+        have += len(chunks[-1])
     return np.concatenate(chunks, axis=0)[:count]
-
-
-def scatter(k: int, count: int, seed) -> list[ScatterSample]:
-    """Gain versus self-canceling max correlation over sampled matrices."""
-    if k < 3:
-        raise ValueError(f"scatter needs k >= 3, got {k}")
-    stack = _accepted_stack(k, count, seed)
-    study = measures._study_stack(stack)
-    return [
-        ScatterSample(k=k, gain=float(g), rho_s=float(r))
-        for g, r in zip(study.gain, study.rho_s)
-    ]
-
-
-def write_scatter_csv(samples: Sequence[ScatterSample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,gain,rho_s\n")
-        for s in samples:
-            fh.write(f"{s.k},{s.gain!r},{s.rho_s!r}\n")
 
 
 def sample_planted_matrices(
@@ -102,7 +73,6 @@ def sample_planted_matrices(
     dependence_min: float = 0.75,
     gain_min: float = 0.15,
     rho_max: float = -0.2,
-    lambda_floor: float = 1e-4,
 ) -> list[dataset.CorrelationMatrix]:
     """Correlation matrices suitable as planted ground truth.
 
@@ -110,13 +80,16 @@ def sample_planted_matrices(
     r = -1/(k-1) (shrunk toward zero by a small uniform factor, then
     entrywise jittered) and keeps those with dependence >= dependence_min,
     gain >= gain_min, every self-canceling correlation <= rho_max, and
-    smallest eigenvalue >= lambda_floor. The margins matter: a planted set
+    smallest eigenvalue >= 1e-4. The margins matter: a planted set
     is recoverable from data of finite length only if sampling noise cannot
     push its dependence or gain under the mining thresholds, nor any
     pairwise correlation across the graph-construction threshold. Plain
     uniform PSD sampling conditioned on dependence and gain alone produces
     mostly matrices with near-zero pairwise correlations, which no graph at
     moderately negative rho can recover.
+
+    Thresholds that 64 consecutive batches of 512 proposals all miss raise
+    ValueError: they are out of reach (at the defaults, k = 6, 7 and 8 are).
     """
     if k < 3:
         raise ValueError(f"planted matrices need k >= 3, got {k}")
@@ -128,6 +101,7 @@ def sample_planted_matrices(
     jit = 0.1 / (k - 1)
     out: list[dataset.CorrelationMatrix] = []
     batch = 512
+    stalled = 0
     while len(out) < count:
         u = rng.uniform(0.02, u_hi, size=batch)
         base = -(1.0 - u) / (k - 1)
@@ -138,15 +112,18 @@ def sample_planted_matrices(
         mats[:, ju, iu] = vals
         study = measures._study_stack(mats)
         ok = (
-            (study.lambda_min >= lambda_floor)
+            (study.lambda_min >= _PLANT_LAMBDA_FLOOR)
             & (1.0 - study.lambda_min >= dependence_min)
             & (study.gain >= gain_min)
             & (study.rho_s <= rho_max)
         )
-        for t in np.nonzero(ok)[0]:
-            if len(out) == count:
-                break
-            out.append(dataset.CorrelationMatrix(entries=mats[t]))
+        stalled = 0 if ok.any() else stalled + 1
+        if stalled == _PLANT_STALL_BATCHES:
+            raise ValueError(
+                f"no k={k} planted matrix with dependence >= {dependence_min}, gain >= {gain_min} "
+                f"and rho_s <= {rho_max} in {_PLANT_STALL_BATCHES * batch} consecutive proposals"
+            )
+        out += [dataset.CorrelationMatrix(entries=m) for m in mats[ok][: count - len(out)]]
     return out
 
 
@@ -183,12 +160,8 @@ def synth_dataset(planted, noise_count: int, T: int, seed):
     perm = rng.permutation(N)
     values = values[:, perm]
     inverse = np.argsort(perm)
-    truth = []
-    offset = 0
-    for m in mats:
-        k = m.shape[0]
-        truth.append(sorted(int(inverse[offset + j]) for j in range(k)))
-        offset += k
+    ends = np.cumsum([m.shape[0] for m in mats], dtype=np.intp)
+    truth = [sorted(inverse[end - m.shape[0] : end].tolist()) for m, end in zip(mats, ends)]
     width = max(4, len(str(N - 1)))
     names = tuple(f"v{i:0{width}d}" for i in range(N))
     return dataset.TimeSeriesDataset(names=names, values=values), truth
@@ -337,14 +310,7 @@ def reproducibility(
             raise ValueError(f"member {members[-1]} absent from a dataset with N={d.N}")
         subs = child.spawn(1 + k)
         _, _, sigma = _members_sigma(d, members)
-        p_sigma = significance_sigma(sigma, k, pool, samples, subs[0])
-        if p_sigma > alpha:
+        if significance_sigma(sigma, k, pool, samples, subs[0]) > alpha:
             continue
-        ok = True
-        for i, m in enumerate(members):
-            p = member_contribution(d, members, m, pool, repeats, subs[1 + i])
-            if p > alpha:
-                ok = False
-                break
-        count += 1 if ok else 0
+        count += all(member_contribution(d, members, m, pool, repeats, subs[1 + i]) <= alpha for i, m in enumerate(members))
     return count

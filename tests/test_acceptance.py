@@ -49,11 +49,10 @@ def run_criteria_1_2_3(outdir, res):
     for k in (3, 4, 5):
         raw = stats._accepted_stack(k, 100_000, 1000 + k)
         gain, rho_s, _, _, _, viol = bounds.stack_report_rows(raw)
-        samples = [
-            stats.ScatterSample(k=k, gain=float(g), rho_s=float(r))
-            for g, r in zip(gain, rho_s)
-        ]
-        stats.write_scatter_csv(samples, outdir / f"c1_scatter_k{k}.csv")
+        # the rows `multipole sample --k k` writes
+        with open(outdir / f"c1_scatter_k{k}.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("k,gain,rho_s\n")
+            fh.writelines(f"{k},{g!r},{r!r}\n" for g, r in zip(gain.tolist(), rho_s.tolist()))
         caps[str(k)] = float(gain.max())
         for key in boundary:
             d = float(key)

@@ -4,7 +4,7 @@ bounds, and the size cap on achievable gain."""
 import numpy as np
 import pytest
 
-from multipoles import bounds, measures
+from multipoles import bounds, measures, stats
 from multipoles.bounds import (
     BoundReport,
     bound_report,
@@ -146,3 +146,25 @@ def test_scalar_reports_are_row_zero_of_the_stack():
             cf = measures.self_canceling_form(a, range(k))
             assert cf.rho_s == rho_s[t] == study.rho_s[t]
             assert cf.weights == tuple(form.weights[t])
+
+
+def test_check_bounds_agrees_with_stack_report_rows(monkeypatch):
+    # with a negative tolerance near-equalities count as violations, so both
+    # verdicts occur; a matrix is flagged iff check_bounds lists a proved kind
+    monkeypatch.setattr(bounds, "_TOL", -0.05)
+    proved = {"theorem1_norm2", "theorem1_norm1", "corollary1", "corollary2"}
+    flagged = []
+    for k in (3, 4, 5, 6):
+        mats = stats._accepted_stack(k, 100, seed=44 + k)
+        gain, _, c1, c2, cap, violated = stack_report_rows(mats)
+        flagged.append(int(violated.sum()))
+        for t, a in enumerate(mats):
+            found = check_bounds(a)
+            assert any(v.kind in proved for v in found) == violated[t]
+            for v in found:
+                rhs = {"corollary1": c1[t], "corollary2": c2[t], "size_cap": cap[t]}.get(v.kind)
+                assert v.column == -1 if rhs is not None else 0 <= v.column < k
+                assert v.lhs > v.rhs - 0.05
+                if rhs is not None:
+                    assert (v.lhs, v.rhs) == (gain[t], rhs)
+    assert flagged[0] > 0 and sum(flagged) < 400

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from multipoles import dataset, stats
+from multipoles import bounds, dataset, stats
 from multipoles.cli import build_parser, main
 
 
@@ -162,6 +163,20 @@ def test_sample_scatter_csv(tmp_path):
     assert max(gains) <= 0.5 + 1e-9
 
 
+def test_sample_rows_are_the_bounds_report_columns(tmp_path):
+    # sample writes the gain and rho_s of the bounds report of the same draw:
+    # the repr of each value, and the same numbers as the bounds command's cells
+    for k in (3, 6):
+        argv = ["--k", k, "--count", "300", "--seed", "5"]
+        assert run(["sample", *argv, "--out", tmp_path / "s.csv"]) == 0
+        assert run(["bounds", *argv, "--out", tmp_path / "b.csv"]) == 0
+        gain, rho_s, *_ = bounds.stack_report_rows(stats._accepted_stack(k, 300, 5))
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert rows == [f"{k},{g!r},{r!r}" for g, r in zip(gain.tolist(), rho_s.tolist())]
+        cells = [re.sub(r"np\.float64\((.*?)\)", r"\1", line) for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+        assert rows == [",".join(c.split(",")[:3]) for c in cells]
+
+
 def test_sample_rejects_bad_k(tmp_path):
     assert run(["sample", "--k", "9", "--count", "10",
                 "--out", tmp_path / "x.csv"]) == 2
@@ -193,6 +208,14 @@ def test_synth_emits_dataset_and_truth(tmp_path):
 def test_synth_noise_to_must_cover_planted(tmp_path):
     assert run(["synth", "--plant", "4", "--sizes", "5", "--noise-to", "10",
                 "--T", "300", "--out", tmp_path / "x.csv"]) == 2
+
+
+def test_synth_unreachable_thresholds_exit_2(tmp_path, capsys):
+    # no k=3 matrix has gain above 1/(k-1) = 0.5: the planted sampler gives up
+    assert run(["synth", "--plant", "1", "--sizes", "3", "--plant-gain", "0.6", "--noise-to", "10",
+                "--T", "500", "--out", tmp_path / "x"]) == 2
+    assert "no k=3 planted matrix" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_signif_end_to_end(tmp_path, planted_csv):

@@ -334,6 +334,19 @@ def test_corrcoef_input_is_accepted(search):
     search(a, MinerConfig())
 
 
+def test_near_symmetric_input_mines_like_its_transpose():
+    # asymmetry within the 1e-12 tolerance must not give one-way graph edges
+    a = np.array([[1, -.4, -.4, 0], [-.4, 1, -.4, -.3], [-.4, -.4, 1, -.3], [0, -.3, -.3, 1]])
+    a[0, 3], a[3, 0] = 1e-13, -1e-13
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.1)
+    graphs = [graph.build_graph(m, 0.0) for m in (a, a.T)]
+    for g in graphs:
+        assert all(i in g.adjacency[j] for i, nbrs in enumerate(g.adjacency) for j in nbrs)
+    assert graphs[0] == graphs[1]
+    assert graph.maximal_cliques(graphs[0], 3) == graph.maximal_cliques(graphs[1], 3) == [(0, 1, 2, 3)]
+    assert mine(a, cfg) == mine(a.T, cfg) != []
+
+
 def test_mine_matches_brute_force_at_rho_one():
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15, rho=1.0)
     for seed in range(8):

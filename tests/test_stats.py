@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multipoles import dataset, linalg, measures, stats
+from multipoles import bounds, dataset, linalg, measures, stats
+from multipoles.cli import main
 from multipoles.stats import (
     member_contribution,
     reproducibility,
     sample_planted_matrices,
-    scatter,
     significance_sigma,
     synth_dataset,
 )
@@ -139,30 +139,33 @@ def test_minor_screen_margin():
 # ---------------------------------------------------------------- scatter
 
 
+def scatter(k, count, seed):
+    """The gain and rho_s columns `multipole sample` writes."""
+    gain, rho_s, *_ = bounds.stack_report_rows(stats._accepted_stack(k, count, seed))
+    return gain, rho_s
+
+
 def test_scatter_respects_gain_cap():
     for k in (3, 4):
-        samples = scatter(k, 2000, seed=85)
-        assert len(samples) == 2000
-        for s in samples:
-            assert s.k == k
-            assert s.gain <= 1.0 / (k - 1) + 1e-9
-            assert -1.0 <= s.rho_s <= 1.0
+        gain, rho_s = scatter(k, 2000, seed=85)
+        assert gain.shape == rho_s.shape == (2000,)
+        assert np.all(gain <= 1.0 / (k - 1) + 1e-9)
+        assert np.all((-1.0 <= rho_s) & (rho_s <= 1.0))
 
 
 def test_scatter_matches_direct_evaluation():
     mats = stats._accepted_stack(3, 50, seed=86)
-    samples = scatter(3, 50, seed=86)
-    for m, s in zip(mats, samples):
-        assert s.gain == pytest.approx(
+    for m, g, r in zip(mats, *scatter(3, 50, seed=86)):
+        assert g == pytest.approx(
             measures.linear_gain(m, [0, 1, 2]), abs=1e-10
         )
         cf = measures.self_canceling_form(m, [0, 1, 2])
-        assert s.rho_s == pytest.approx(cf.rho_s, abs=1e-10)
+        assert r == pytest.approx(cf.rho_s, abs=1e-10)
 
 
 def test_scatter_csv(tmp_path):
     p = tmp_path / "scatter.csv"
-    stats.write_scatter_csv(scatter(3, 10, seed=87), p)
+    assert main(["sample", "--k", "3", "--count", "10", "--seed", "87", "--out", str(p)]) == 0
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "k,gain,rho_s"
     assert len(lines) == 11
@@ -225,6 +228,13 @@ def test_planted_matrices_meet_mining_filters():
             cf = measures.self_canceling_form(m, sub)
             assert cf.rho_s <= -0.2
             assert np.linalg.eigvalsh(m.entries)[0] > 1e-6
+
+
+@pytest.mark.parametrize("thresholds", [{"gain_min": 0.6}, {"rho_max": -0.9}])
+def test_planted_matrices_unreachable_thresholds_raise(thresholds):
+    # no PSD matrix has a gain above 1/(k-1), nor rho_s below -1/(k-1) (its mean off-diagonal)
+    with pytest.raises(ValueError, match=r"no k=3 planted matrix .* in 32768 consecutive proposals"):
+        sample_planted_matrices(3, 1, np.random.SeedSequence(94), **thresholds)
 
 
 # ---------------------------------------------------------------- significance
