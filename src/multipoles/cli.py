@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, bounds, dataset, measures, miner, stats
+from . import __version__, bounds, dataset, miner, stats
 
 
 def _utcnow() -> str:
@@ -182,12 +182,6 @@ def cmd_synth(args, base: str):
 
 
 def cmd_signif(args, base: str):
-    if not (0.0 < args.alpha < 1.0):
-        raise ValueError("alpha must be in (0,1)")
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
-    if args.repeats < 100:
-        raise ValueError("repeats must be >= 100")
     d = _load_standardized(args.input, detrend=False)
     pool = [_load_standardized(p, detrend=False) for p in args.pool]
     for i, p in enumerate(pool):
@@ -199,21 +193,11 @@ def cmd_signif(args, base: str):
     except ValueError:
         missing = [m for m in member_names if m not in d.names]
         raise ValueError(f"members not found in {args.input}: {missing}")
-    if len(members) < 3:
-        raise ValueError("members must name at least 3 distinct variables")
-    if len(set(members)) != len(members):
-        raise ValueError("members must be distinct")
-    root = np.random.SeedSequence(args.seed)
-    s_sig, s_rep = root.spawn(2)
-    A = dataset.correlation_matrix(d)
-    sigma = measures.linear_dependence(A, members)
-    sub = s_sig.spawn(1 + len(members))
-    p_sigma = stats.significance_sigma(sigma, len(members), pool, args.samples, sub[0])
-    member_p = {
-        d.names[m]: stats.member_contribution(d, members, m, pool, args.repeats, sub[1 + i])
-        for i, m in enumerate(members)
-    }
+    s_sig, s_rep = np.random.SeedSequence(args.seed).spawn(2)
+    # reproducibility first: it rejects a bad alpha before any draw
     rep_count = stats.reproducibility(members, pool, args.alpha, pool, s_rep, samples=args.samples, repeats=args.repeats)
+    sigma, p_sigma, *member_ps = stats._pvalues(d, members, pool, args.samples, args.repeats, s_sig)
+    member_p = {d.names[m]: p for m, p in zip(members, member_ps)}
     json_path = base + ".json"
     body = {
         "multipole": [d.names[m] for m in members],

@@ -32,12 +32,7 @@ class PromisingGraph:
     """Immutable undirected graph on 2N nodes; node v % N is the variable."""
 
     n_variables: int
-    rho: float
     adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.n_variables
 
 
 def build_graph(A, rho: float) -> PromisingGraph:
@@ -59,7 +54,7 @@ def build_graph(A, rho: float) -> PromisingGraph:
     adj[:n, n:] = cross
     adj[n:, :n] = cross.T
     adjacency = tuple(tuple(int(b) for b in np.nonzero(adj[a])[0]) for a in range(2 * n))
-    return PromisingGraph(n_variables=n, rho=float(rho), adjacency=adjacency)
+    return PromisingGraph(n_variables=n, adjacency=adjacency)
 
 
 def maximal_cliques(g: PromisingGraph, min_size: int = 1, budget: float = float("inf")) -> list[tuple[int, ...]]:

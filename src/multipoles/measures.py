@@ -100,17 +100,22 @@ def _entries(A) -> NDArray[np.float64]:
     return np.asarray(M, dtype=np.float64)
 
 
-def _checked_subset(A, subset, min_size: int) -> tuple[NDArray[np.float64], tuple[int, ...]]:
-    """Validated principal submatrix of the subset, and its sorted members."""
-    M = _entries(A)
+def _checked_members(subset, n: int, min_size: int) -> tuple[int, ...]:
+    """Sorted member indices: at least min_size of them, distinct, each in [0, n)."""
     idx = tuple(sorted(int(i) for i in subset))
     if len(idx) < min_size:
         raise ValueError(f"subset needs at least {min_size} members, got {len(idx)}")
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate members in subset")
-    n = M.shape[0]
     if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"member index out of range for a {n}-variable matrix")
+        raise ValueError(f"member index out of range for {n} variables")
+    return idx
+
+
+def _checked_subset(A, subset, min_size: int) -> tuple[NDArray[np.float64], tuple[int, ...]]:
+    """Validated principal submatrix of the subset, and its sorted members."""
+    M = _entries(A)
+    idx = _checked_members(subset, M.shape[0], min_size)
     ix = np.asarray(idx, dtype=np.intp)
     return linalg._as_square(M[np.ix_(ix, ix)]), idx
 

@@ -52,7 +52,7 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(k, 1)
-    chunks = []
+    chunks = [np.empty((0, k, k))]
     have = 0
     while have < count:
         draws = rng.uniform(-1.0, 1.0, size=(_DRAW_BATCH, iu.size))
@@ -181,9 +181,14 @@ def _check_pool(pool, k: int | None = None):
     return T
 
 
-def _null_sigmas(k: int, pool, samples: int, seed) -> NDArray[np.float64]:
-    """Linear dependence of `samples` random k-sets: members drawn from k
-    distinct pool datasets, variable uniform within each."""
+def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed) -> float:
+    """Upper-tail add-one p-value of a dependence value against a random null.
+
+    The null is the linear dependence of `samples` random k-sets, members
+    drawn from k distinct pool datasets, variable uniform within each.
+    p = (1 + #{null sigma >= candidate}) / (samples + 1); small p means the
+    candidate's dependence is rarely matched by chance.
+    """
     if k < 2:
         raise ValueError(f"set size must be >= 2, got {k}")
     if samples < 1:
@@ -191,7 +196,7 @@ def _null_sigmas(k: int, pool, samples: int, seed) -> NDArray[np.float64]:
     T = _check_pool(pool, k)
     rng = np.random.default_rng(seed)
     P = len(pool)
-    out = np.empty(samples)
+    count_ge = 0
     chunk = 2048
     buf = np.empty((chunk, T, k))
     done = 0
@@ -207,25 +212,16 @@ def _null_sigmas(k: int, pool, samples: int, seed) -> NDArray[np.float64]:
         np.clip(C, -1.0, 1.0, out=C)
         C[:, np.arange(k), np.arange(k)] = 1.0
         lam = linalg.eigh_many(C, vectors=False)[0][:, 0]
-        out[done : done + n] = measures._sigma_of(lam)
+        count_ge += int((measures._sigma_of(lam) >= candidate_sigma).sum())
         done += n
-    return out
-
-
-def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed) -> float:
-    """Upper-tail add-one p-value of a dependence value against a random null.
-
-    p = (1 + #{null sigma >= candidate}) / (samples + 1); small p means the
-    candidate's dependence is rarely matched by chance.
-    """
-    sigmas = _null_sigmas(k, pool, samples, seed)
-    count_ge = int((sigmas >= candidate_sigma).sum())
     return (1 + count_ge) / (samples + 1)
 
 
 def _members_sigma(d: dataset.TimeSeriesDataset, members: tuple[int, ...]):
     """(columns, correlation matrix, linear dependence) of the members of a
     standardized dataset; the matrix is clipped to [-1, 1] with a unit diagonal."""
+    if not d.standardized:
+        raise ValueError("dataset must be standardized")
     X = d.values[:, members]
     C = (X.T @ X) / (d.T - 1)
     np.clip(C, -1.0, 1.0, out=C)
@@ -243,16 +239,12 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     """
     if repeats < 100:
         raise ValueError(f"repeats must be >= 100, got {repeats}")
-    if not d.standardized:
-        raise ValueError("context dataset must be standardized")
     T = _check_pool(pool)
     if d.T != T:
         raise ValueError(f"context dataset has T={d.T}, pool has T={T}")
-    members = tuple(sorted(int(m) for m in multipole))
+    members = measures._checked_members(multipole, d.N, 3)
     if member not in members:
         raise ValueError(f"member {member} is not in the set {members}")
-    if members[-1] >= d.N:
-        raise ValueError("member index out of range for the context dataset")
     k = len(members)
     pos = members.index(member)
     X, C0, sigma0 = _members_sigma(d, members)
@@ -269,16 +261,26 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     np.clip(cross, -1.0, 1.0, out=cross)
     mats = np.broadcast_to(C0, (repeats, k, k)).copy()
     other = [i for i in range(k) if i != pos]
-    mats[:, pos, :] = 0.0
-    mats[:, :, pos] = 0.0
-    mats[:, pos, pos] = 1.0
-    for row, i in enumerate(other):
-        mats[:, i, pos] = cross[row]
-        mats[:, pos, i] = cross[row]
+    mats[:, other, pos] = cross.T
+    mats[:, pos, other] = cross.T
     lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
     sigmas = measures._sigma_of(lam)
     count_ge = int((sigmas >= sigma0).sum())
     return (1 + count_ge) / (repeats + 1)
+
+
+def _pvalues(d: dataset.TimeSeriesDataset, members, pool, samples: int, repeats: int, seed):
+    """Lazily: the set's sigma on d, significance_sigma's p-value (seeded by
+    child 0 of seed.spawn(1 + k)), then each member's member_contribution
+    p-value (child 1 + i) in sorted member order. A caller that stops early
+    skips the remaining draws."""
+    members = measures._checked_members(members, d.N, 3)
+    subs = seed.spawn(1 + len(members))
+    _, _, sigma = _members_sigma(d, members)
+    yield sigma
+    yield significance_sigma(sigma, len(members), pool, samples, subs[0])
+    for i, m in enumerate(members):
+        yield member_contribution(d, members, m, pool, repeats, subs[1 + i])
 
 
 def reproducibility(
@@ -292,25 +294,16 @@ def reproducibility(
 ) -> int:
     """Number of datasets where the set and all its members are significant.
 
-    A dataset counts iff significance_sigma's p <= alpha and every member's
-    member_contribution p <= alpha, both evaluated on that dataset with
-    seeds derived per dataset.
+    A dataset counts iff every p-value of _pvalues on it (significance_sigma's,
+    then each member's member_contribution) is <= alpha; its seed is that
+    dataset's child of seed, and its tests stop at the first p above alpha.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    members = tuple(sorted(int(m) for m in multipole))
-    k = len(members)
     root = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    children = root.spawn(len(datasets))
     count = 0
-    for d, child in zip(datasets, children):
-        if not d.standardized:
-            raise ValueError("every dataset must be standardized")
-        if members[-1] >= d.N:
-            raise ValueError(f"member {members[-1]} absent from a dataset with N={d.N}")
-        subs = child.spawn(1 + k)
-        _, _, sigma = _members_sigma(d, members)
-        if significance_sigma(sigma, k, pool, samples, subs[0]) > alpha:
-            continue
-        count += all(member_contribution(d, members, m, pool, repeats, subs[1 + i]) <= alpha for i, m in enumerate(members))
+    for d, child in zip(datasets, root.spawn(len(datasets))):
+        ps = _pvalues(d, multipole, pool, samples, repeats, child)
+        next(ps)  # the set's sigma
+        count += all(p <= alpha for p in ps)
     return count

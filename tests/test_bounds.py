@@ -73,10 +73,14 @@ def test_check_bounds_equicorrelated_half():
 
 
 def test_no_violations_on_random_matrices():
+    # every inequality check_bounds tests, size_cap included, on one stack per
+    # k, symmetrized as check_bounds symmetrizes each matrix
     rng = np.random.default_rng(42)
     for k in (3, 4, 5, 6):
-        for a in random_correlation(rng, 200, k):
-            assert check_bounds(a) == []
+        mats = random_correlation(rng, 200, k)
+        parts = bounds._bound_parts((mats + mats.transpose(0, 2, 1)) / 2.0)
+        for kind, lhs, rhs in bounds._inequalities(parts):
+            assert not (lhs > rhs + bounds._TOL).any(), kind
 
 
 def test_corollary2_equality_at_extremal_equicorrelation():

@@ -250,6 +250,49 @@ def test_signif_rejects_unknown_member(tmp_path, planted_csv):
                 "--pool", p, "--out", tmp_path / "x.json"]) == 2
 
 
+def write_pool(tmp_path, names, seed, count=3):
+    """count white-noise windows with the context file's names and T."""
+    paths = []
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(count)):
+        w, _ = stats.synth_dataset([], len(names), 400, ss)
+        paths.append(tmp_path / f"w{i}.csv")
+        dataset.save_csv(dataset.TimeSeriesDataset(names=names, values=w.values), paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "0"], ["--alpha", "1"], ["--samples", "0"], ["--repeats", "99"],
+    ["--members", "{0},{0},{1}"], ["--members", "{0},{1}"],
+])
+def test_signif_validation_exit_codes(tmp_path, planted_csv, flags):
+    # stats checks every value once; the later of two equal flags wins
+    path, truth, names = planted_csv
+    pool = write_pool(tmp_path, names, 204)
+    members = ",".join(names[i] for i in truth)
+    assert run(["signif", "--input", path, "--members", members, "--pool", *pool,
+                "--samples", "50", "--repeats", "100", *[f.format(*names) for f in flags],
+                "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x.json").exists()
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
+def test_signif_report_is_the_pvalue_sequence(tmp_path, planted_csv):
+    path, truth, names = planted_csv
+    pool_paths = write_pool(tmp_path, names, 205)
+    assert run(["signif", "--input", path, "--members", ",".join(names[i] for i in truth[::-1]),
+                "--pool", *pool_paths, "--samples", "300", "--repeats", "100", "--seed", "9",
+                "--out", tmp_path / "sig"]) == 0
+    rep = json.loads((tmp_path / "sig.json").read_text())
+    d = dataset.standardize(dataset.load_csv(path))
+    pool = [dataset.standardize(dataset.load_csv(p)) for p in pool_paths]
+    s_sig, _ = np.random.SeedSequence(9).spawn(2)
+    sigma, p_sigma, *member_ps = stats._pvalues(d, truth, pool, 300, 100, s_sig)
+    assert rep["multipole"] == [names[i] for i in truth]
+    assert rep["linear_dependence"] == sigma
+    assert rep["p_sigma"] == p_sigma
+    assert rep["member_pvalues"] == {names[m]: p for m, p in zip(truth, member_ps)}
+
+
 def test_every_manifest_records_every_flag(tmp_path, planted_csv):
     # main writes every command's manifest: config holds each flag the command
     # defines but --out and the input files, which are listed under inputs

@@ -43,7 +43,7 @@ def graph_from_edges(n, edges):
         adj[n + i].add(n + j)
         adj[n + j].add(n + i)
     return PromisingGraph(
-        n_variables=n, rho=0.0, adjacency=tuple(tuple(sorted(a)) for a in adj)
+        n_variables=n, adjacency=tuple(tuple(sorted(a)) for a in adj)
     )
 
 
@@ -78,7 +78,7 @@ def brute_maximal_cliques(n_nodes, adj):
 def test_build_graph_edge_rules():
     # correlations r01=-0.5, r02=+0.4, r12=+0.3
     g = build_graph(triple(-0.5, 0.4, 0.3), rho=0.0)
-    assert g.n_nodes == 6
+    assert len(g.adjacency) == 6
     n = 3
     # within copy 1: only the negative pair
     assert 1 in g.adjacency[0]

@@ -40,6 +40,13 @@ def test_sampler_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_sampler_count_zero_is_an_empty_stack(k):
+    a = stats._accepted_stack(k, 0, seed=80)
+    assert a.shape == (0, k, k)
+    assert a.dtype == np.float64
+
+
 def test_sampler_prefix_stability():
     # the first matrices do not depend on how many are requested
     a = stats._accepted_stack(4, 5, seed=81)
@@ -345,3 +352,53 @@ def test_reproducibility_determinism():
     a = reproducibility(*args, np.random.SeedSequence(119), samples=1500, repeats=150)
     b = reproducibility(*args, np.random.SeedSequence(119), samples=1500, repeats=150)
     assert a == b
+
+
+@pytest.mark.parametrize("members", [[-1, 0, 1], [0, 0, 1], [0, 1], [0, 1, 10]])
+def test_significance_rejects_bad_members(members):
+    # unchecked, a negative index wraps to the last columns and a repeated
+    # member is tested twice, giving wrong p-values and counts
+    pool = noise_pool(4, 10, 200, seed=120)
+    with pytest.raises(ValueError):
+        member_contribution(pool[0], members, members[1], pool, 100, np.random.SeedSequence(3))
+    with pytest.raises(ValueError):
+        reproducibility(members, pool, 0.5, pool, 3, samples=50, repeats=100)
+
+
+def test_reproducibility_stops_at_the_first_p_above_alpha(monkeypatch):
+    pool = noise_pool(3, 10, 200, seed=121)
+    script = iter([
+        0.5,                     # window 0: the set misses alpha, no member is tested
+        0.01, 0.01, 0.5,         # window 1: member 1 misses alpha, member 2 is not tested
+        0.01, 0.01, 0.01, 0.01,  # window 2 counts
+    ])
+    calls = []
+
+    def fake_sigma(*args):
+        calls.append("set")
+        return next(script)
+
+    def fake_member(d, members, member, *args):
+        calls.append(member)
+        return next(script)
+
+    monkeypatch.setattr(stats, "significance_sigma", fake_sigma)
+    monkeypatch.setattr(stats, "member_contribution", fake_member)
+    assert reproducibility([2, 0, 1], pool, 0.05, pool, 122, samples=50, repeats=100) == 1
+    assert calls == ["set", "set", 0, 1, "set", 0, 1, 2]
+    assert next(script, None) is None
+
+
+def test_pvalues_order_and_seeds():
+    # sigma from the member columns, then significance_sigma on child 0 and
+    # each member's member_contribution on child 1 + i
+    pool = noise_pool(4, 10, 200, seed=123)
+    d, truth = synth_dataset([equicorrelated(3, -0.45)], 7, 200, np.random.SeedSequence(124))
+    s = dataset.standardize(d)
+    got = list(stats._pvalues(s, truth[0][::-1], pool, 300, 100, np.random.SeedSequence(125)))
+    subs = np.random.SeedSequence(125).spawn(4)
+    sigma = stats._members_sigma(s, tuple(truth[0]))[2]
+    assert sigma == pytest.approx(measures.linear_dependence(dataset.correlation_matrix(s), truth[0]), abs=1e-12)
+    want = [sigma, significance_sigma(sigma, 3, pool, 300, subs[0])]
+    want += [member_contribution(s, truth[0], m, pool, 100, subs[1 + i]) for i, m in enumerate(truth[0])]
+    assert got == want
