@@ -175,9 +175,7 @@ def cmd_synth(args, base: str):
     csv_path = base + ".csv"
     truth_path = base + ".truth.json"
     dataset.save_csv(d, csv_path)
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump({"planted": [[d.names[i] for i in block] for block in truth]}, fh, indent=2)
-        fh.write("\n")
+    miner.write_dicts_json({"planted": [[d.names[i] for i in block] for block in truth]}, truth_path)
     return [csv_path, truth_path], f"N={d.N} T={d.T} with {len(truth)} planted sets", None
 
 
@@ -208,9 +206,7 @@ def cmd_signif(args, base: str):
         "reproducible_count": rep_count,
         "window_count": len(pool),
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2)
-        fh.write("\n")
+    miner.write_dicts_json(body, json_path)
     return [json_path], f"p_sigma={p_sigma:.6g} reproducible {rep_count}/{len(pool)}", None
 
 

@@ -64,35 +64,30 @@ class TimeSeriesDataset:
 class CorrelationMatrix:
     """Symmetric unit-diagonal matrix with entries in [-1, 1], PSD within 1e-9.
 
-    Every matrix given as entries is checked, then stored as (M + M.T) / 2
-    with a unit diagonal (one within 1e-12 of 1, as np.corrcoef leaves it,
-    passes); the eigenvalue check runs only for dimensions up to 64 (the
-    eigensolver cap). correlation_matrix builds its Gram matrices of
+    Every matrix given as entries is validated by linalg._as_square (square,
+    finite, symmetric within 1e-9) and stored as (M + M.T) / 2 with a unit
+    diagonal (one within 1e-12 of 1, as np.corrcoef leaves it, passes). PSD
+    is certified at every size by a Cholesky factorization of M + 1e-9 * I,
+    which fails where the smallest eigenvalue of M is below -1e-9, up to
+    about 1e-12 of rounding. correlation_matrix builds its Gram matrices of
     standardized data, PSD by construction, unchecked.
     """
 
     entries: NDArray[np.float64]
 
     def __post_init__(self):
-        M = np.array(self.entries, dtype=np.float64)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        M = linalg._as_square(self.entries)
         if M.shape[0] < 2:
             raise ValueError("correlation matrix needs dimension >= 2")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("correlation matrix contains non-finite entries")
-        if np.max(np.abs(M - M.T), initial=0.0) > 1e-12:
-            raise ValueError("correlation matrix is not symmetric within 1e-12")
         if np.max(np.abs(M)) > 1.0 + 1e-12:
             raise ValueError("correlation entries must lie in [-1, 1]")
         if np.max(np.abs(np.diag(M) - 1.0), initial=0.0) > 1e-12:
             raise ValueError("diagonal entries must lie within 1e-12 of 1")
-        M = (M + M.T) / 2.0
         np.fill_diagonal(M, 1.0)
-        if M.shape[0] <= linalg.MAX_DIM:
-            values, _ = linalg.eigh_many(M[None, :, :], vectors=False)
-            if values[0, 0] < -1e-9:
-                raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0, 0]:.3e}")
+        try:
+            linalg.cholesky(M + 1e-9 * np.eye(M.shape[0]))
+        except linalg.NotPositiveDefiniteError as e:
+            raise ValueError(f"matrix is not PSD within 1e-9: pivot {e.pivot_index} of M + 1e-9*I is {e.pivot:.3e}") from None
         M.flags.writeable = False
         object.__setattr__(self, "entries", M)
 

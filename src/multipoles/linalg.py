@@ -2,15 +2,14 @@
 
 The eigensolver is a cyclic Jacobi sweep with a fixed row-major rotation
 order. Matrices here are correlation submatrices, rarely beyond a dozen
-variables and capped at 64, where Jacobi is accurate to machine precision
-and, crucially, bit-reproducible: identical input bits give identical
-output bits regardless of batch composition. Everything
-downstream leans on that for deterministic result files.
+variables, where Jacobi is accurate to machine precision and, crucially,
+bit-reproducible: identical input bits give identical output bits whatever
+the batch, which deterministic result files rely on.
 
 ``eigh_many`` diagonalizes a whole stack of same-sized matrices in one
-vectorized pass and is the only eigensolver; scalar measures solve a stack
-of one through it, so there is a single code path to trust. ``cholesky`` is
-the only scalar entry point here.
+vectorized pass and is the only eigensolver, capped at MAX_DIM = 64;
+scalar measures solve a stack of one through it, so there is a single code
+path to trust. ``cholesky``, of any size, is the one PSD certificate.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ def _as_square(A) -> NDArray[np.float64]:
     M = np.asarray(getattr(A, "entries", A), dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] > MAX_DIM:
-        raise ValueError(f"matrix dimension {M.shape[0]} exceeds the {MAX_DIM} cap")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
     asym = float(np.max(np.abs(M - M.T), initial=0.0))

@@ -129,13 +129,16 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
 
     At most cfg.budget member sets are scored, solved or not: a level
     that would go past it is not, and the records so far (two or more sizes
-    above it) come back with a stop message naming that size; a complete
-    walk's message is None.
+    above it) come back with a stop message naming that size. Given tuples
+    above the eigensolver's cap (linalg.MAX_DIM) and all below them are
+    skipped, with a stop message; a complete walk's message is None.
     """
     max_size = cfg.resolved_max_size()
     given: dict[int, dict[tuple[int, ...], None]] = {}
     for t in member_tuples:
         given.setdefault(len(t), {})[t] = None
+    over = {s: given.pop(s) for s in sorted(given) if s > linalg.MAX_DIM}
+    stop = f"subset lattice skipped {sum(map(len, over.values()))} member set(s) of size {', '.join(map(str, over))}, above the eigensolver's cap of {linalg.MAX_DIM}" if over else None
     records: list[measures.MultipoleRecord] = []
     # sigma-survivors one level up: members, smallest eigenvalue, sigma, reached by descent
     up: list[tuple[int, ...]] = []
@@ -155,7 +158,7 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
         ).reshape(len(up), s + 1)
         members = list(row)
         if (spent := spent + len(members)) > cfg.budget:
-            return records, f"subset lattice stopped at size {s}: scoring it would exceed the budget of {cfg.budget} sets"
+            return records, "; ".join(filter(None, (stop, f"subset lattice stopped at size {s}: scoring it would exceed the budget of {cfg.budget} sets")))
         cuts = np.full(len(members), cut)
         if s < max_size:  # the survivors one level up are within the size cap
             cuts[children] = np.inf
@@ -179,7 +182,7 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
         up = [members[i] for i in keep]
         up_lam, up_sig, up_reached = lam[keep], sig[keep], reached[keep]
         failed = [members[i] for i in np.nonzero(sig < cfg.sigma_threshold - _SCREEN_MARGIN)[0]] if s > max_size else []
-    return records, None
+    return records, stop
 
 
 def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
@@ -258,7 +261,7 @@ def mine(data, cfg: MinerConfig) -> list[measures.MultipoleRecord]:
     removed; output is sorted by descending gain, then descending dependence,
     then members. Deterministic for fixed input and config.
     After a clique budget stop the lattice still searches the candidates
-    found; either stop raises MiningBudgetExceeded with the records found.
+    found; any stop raises MiningBudgetExceeded with the records found.
     """
     A = dataset._resolve_matrix(data)
     g = graph.build_graph(A, cfg.rho)

@@ -142,9 +142,10 @@ def synth_dataset(planted, noise_count: int, T: int, seed):
     if T < max(3, 50 * max_k):
         raise ValueError(f"T={T} too short: need at least {max(3, 50 * max_k)}")
     for i, m in enumerate(mats):
-        lam = linalg.eigh_many(m[None], vectors=False)[0][0, 0]
-        if lam <= 1e-6:
-            raise ValueError(f"planted matrix {i} is not strictly positive definite (lambda_min={lam:.3e})")
+        try:  # certifies lambda_min > 1e-6, up to about 1e-12 of rounding
+            linalg.cholesky(m - 1e-6 * np.eye(m.shape[0]))
+        except linalg.NotPositiveDefiniteError as e:
+            raise ValueError(f"planted matrix {i} is not strictly positive definite (lambda_min <= 1e-6): pivot {e.pivot_index} of m - 1e-6*I is {e.pivot:.3e}") from None
     rng = np.random.default_rng(seed)
     blocks = []
     for m in mats:
@@ -178,6 +179,16 @@ def _check_pool(pool, k: int | None = None):
             raise ValueError(f"pool dataset {i} has T={d.T}, expected {T}")
     if k is not None and len(pool) < k:
         raise ValueError(f"pool of {len(pool)} datasets cannot supply {k} distinct windows")
+    return T
+
+
+def _check_context(d: dataset.TimeSeriesDataset, pool, repeats: int) -> int:
+    """The pool's T, after checking that d has it and that repeats is >= 100."""
+    if repeats < 100:
+        raise ValueError(f"repeats must be >= 100, got {repeats}")
+    T = _check_pool(pool)
+    if d.T != T:
+        raise ValueError(f"context dataset has T={d.T}, pool has T={T}")
     return T
 
 
@@ -237,11 +248,7 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     p = (1 + #{replaced-set sigma >= original sigma}) / (repeats + 1). A
     small p says the member is essential, not exchangeable with noise.
     """
-    if repeats < 100:
-        raise ValueError(f"repeats must be >= 100, got {repeats}")
-    T = _check_pool(pool)
-    if d.T != T:
-        raise ValueError(f"context dataset has T={d.T}, pool has T={T}")
+    T = _check_context(d, pool, repeats)
     members = measures._checked_members(multipole, d.N, 3)
     if member not in members:
         raise ValueError(f"member {member} is not in the set {members}")
@@ -272,8 +279,9 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
 def _pvalues(d: dataset.TimeSeriesDataset, members, pool, samples: int, repeats: int, seed):
     """Lazily: the set's sigma on d, significance_sigma's p-value (seeded by
     child 0 of seed.spawn(1 + k)), then each member's member_contribution
-    p-value (child 1 + i) in sorted member order. A caller that stops early
-    skips the remaining draws."""
+    p-value (child 1 + i) in sorted member order, all checked before the
+    first. A caller that stops early skips the remaining draws."""
+    _check_context(d, pool, repeats)
     members = measures._checked_members(members, d.N, 3)
     subs = seed.spawn(1 + len(members))
     _, _, sigma = _members_sigma(d, members)

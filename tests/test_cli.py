@@ -90,6 +90,19 @@ def test_mine_budget_exit_code(tmp_path, planted_csv):
     assert json.loads((tmp_path / "brute-partial.json").read_text()) == []
 
 
+def test_mine_skips_candidates_above_the_eigensolver_cap(tmp_path):
+    # 70 white-noise variables at rho 0.3 are one 70-member candidate
+    data = tmp_path / "n70"
+    assert run(["synth", "--plant", "0", "--noise-to", "70", "--T", "500", "--seed", "3", "--out", data]) == 0
+    out = tmp_path / "m"
+    assert run(["mine", "--input", f"{data}.csv", "--rho", "0.3", "--budget", "1000", "--out", out]) == 3
+    manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+    assert manifest["partial"] is True
+    assert "subset lattice skipped 1 member set(s) of size 70" in manifest["stop"]
+    assert json.loads((tmp_path / "m.json").read_text()) == []
+    assert (tmp_path / "m.csv").exists()
+
+
 def test_brute_matches_mine_at_rho_one(tmp_path, planted_csv):
     path, _, _ = planted_csv
     m = tmp_path / "m.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multipoles import linalg
+from multipoles import graph, linalg, miner
 from multipoles.dataset import (
     CorrelationMatrix,
     TimeSeriesDataset,
@@ -70,10 +70,74 @@ def test_correlation_matrix_validation():
         CorrelationMatrix(entries=indef)
 
 
+def indefinite_equicorrelated(n):
+    a = np.full((n, n), -0.5)
+    np.fill_diagonal(a, 1.0)  # lambda_min = 1 - (n - 1) / 2
+    return a
+
+
+def with_lambda_min(n, lam, seed):
+    """A unit-diagonal n x n matrix whose smallest eigenvalue is lam (to about 1e-15)."""
+    c = np.corrcoef(np.random.default_rng(seed).normal(size=(10 * n, n)), rowvar=False)
+    c = (c + c.T) / 2.0
+    np.fill_diagonal(c, 1.0)
+    shift = (np.linalg.eigvalsh(c)[0] - lam) / (1.0 - lam)
+    a = (c - shift * np.eye(n)) / (1.0 - shift)
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+@pytest.mark.parametrize("n", [8, 70])
+def test_psd_is_checked_at_every_size(n):
+    # lambda_min = -2.5 at n=8 and -33.5 at n=70, above the eigensolver's 64 cap
+    a = indefinite_equicorrelated(n)
+    with pytest.raises(ValueError, match="PSD"):
+        CorrelationMatrix(entries=a)
+    with pytest.raises(ValueError, match="PSD"):
+        miner.mine(a, miner.MinerConfig())
+    with pytest.raises(ValueError, match="PSD"):
+        graph.build_graph(a, 0.0)
+
+
+def test_rank_deficient_corrcoef_is_accepted_as_symmetrized():
+    # T < N: 100 columns of rank 60, smallest eigenvalue 0 up to rounding
+    m = np.corrcoef(np.random.default_rng(3).normal(size=(60, 100)), rowvar=False)
+    want = (m + m.T) / 2.0
+    np.fill_diagonal(want, 1.0)
+    got = CorrelationMatrix(entries=m).entries
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 40])
+@pytest.mark.parametrize("lam, ok", [(-2e-9, False), (-5e-10, True)])
+def test_psd_boundary_is_minus_1e_9(n, lam, ok):
+    a = with_lambda_min(n, lam, seed=n)
+    assert np.linalg.eigvalsh(a)[0] == pytest.approx(lam, abs=1e-13)
+    if ok:
+        assert CorrelationMatrix(entries=a).entries.tobytes() == a.tobytes()
+    else:
+        with pytest.raises(ValueError, match="PSD"):
+            CorrelationMatrix(entries=a)
+
+
+@pytest.mark.parametrize("asym, ok", [(1e-10, True), (1e-8, False)])
+def test_symmetry_tolerance_is_1e_9(asym, ok):
+    a = with_lambda_min(5, 0.2, seed=9)
+    a[0, 1] += asym
+    if ok:
+        want = (a + a.T) / 2.0
+        assert CorrelationMatrix(entries=a).entries.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            CorrelationMatrix(entries=a)
+
+
 def test_correlation_matrix_skips_the_eigen_check(monkeypatch):
-    # a Gram matrix of standardized data is PSD by construction
+    # a Gram matrix of standardized data is PSD by construction: neither an
+    # eigensolve nor the Cholesky certificate runs
     calls = []
     monkeypatch.setattr(linalg, "eigh_many", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(linalg, "cholesky", lambda *args, **kwargs: calls.append(args))
     raw = np.random.default_rng(5).normal(size=(50, 6))
     A = correlation_matrix(standardize(make_dataset(raw)))
     assert calls == []

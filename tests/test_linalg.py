@@ -189,6 +189,17 @@ def test_cholesky_matches_numpy():
     assert np.allclose(ell, np.tril(ell))
 
 
+def test_cholesky_has_no_size_cap():
+    # only eigh_many is capped at 64; the PSD certificate takes any size
+    rng = np.random.default_rng(22)
+    g = rng.normal(size=(100, 300))
+    a = g @ g.T / 300.0
+    ell = cholesky(a)
+    assert ell.shape == (100, 100)
+    assert np.max(np.abs(ell @ ell.T - a)) < 1e-10
+    assert np.array_equal(ell, np.tril(ell))
+
+
 def test_cholesky_two_by_two_closed_form():
     a = np.array([[1.0, 0.5], [0.5, 1.0]])
     ell = cholesky(a)

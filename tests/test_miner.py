@@ -335,7 +335,7 @@ def test_corrcoef_input_is_accepted(search):
 
 
 def test_near_symmetric_input_mines_like_its_transpose():
-    # asymmetry within the 1e-12 tolerance must not give one-way graph edges
+    # asymmetry within the 1e-9 tolerance must not give one-way graph edges
     a = np.array([[1, -.4, -.4, 0], [-.4, 1, -.4, -.3], [-.4, -.4, 1, -.3], [0, -.3, -.3, 1]])
     a[0, 3], a[3, 0] = 1e-13, -1e-13
     cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.1)
@@ -345,6 +345,16 @@ def test_near_symmetric_input_mines_like_its_transpose():
     assert graphs[0] == graphs[1]
     assert graph.maximal_cliques(graphs[0], 3) == graph.maximal_cliques(graphs[1], 3) == [(0, 1, 2, 3)]
     assert mine(a, cfg) == mine(a.T, cfg) != []
+
+
+def test_candidate_above_the_eigensolver_cap_is_a_stop():
+    # 70 white-noise variables: the lattice cannot score the 70-set, which is
+    # a stop with no records, not a failure of the input
+    d = dataset.standardize(dataset.TimeSeriesDataset(
+        names=tuple(f"v{i}" for i in range(70)), values=np.random.default_rng(74).normal(size=(300, 70))))
+    with pytest.raises(MiningBudgetExceeded, match="skipped 1 member set.* of size 70") as exc:
+        extract_from_candidate(d, SignedSet(members=tuple(range(70)), signs=(1,) * 70), MinerConfig())
+    assert exc.value.partial == []
 
 
 def test_mine_matches_brute_force_at_rho_one():
@@ -434,7 +444,7 @@ def test_no_member_set_is_solved_twice(monkeypatch, search):
         data = gaussian_dataset(two_blocks(), T=400, seed=68, extra_noise=6)
         cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.05, rho=0.05, max_size=4)
     else:
-        # validated first: its PSD check solves the full 8-set
+        # validated before the solves are counted
         data = dataset.CorrelationMatrix(entries=random_correlation(np.random.default_rng(73), 8))
         cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.01)
     solved = Counter()

@@ -219,6 +219,18 @@ def test_synth_rejects_singular_planted():
         synth_dataset([equicorrelated(3, -0.5)], 5, 500, np.random.SeedSequence(91))
 
 
+@pytest.mark.parametrize("lam, ok", [(0.0, False), (5e-7, False), (2e-6, True)])
+def test_synth_planted_margin_is_1e_6(lam, ok):
+    # equicorrelated k=3 has lambda_min = 1 + 2r
+    mat = equicorrelated(3, (lam - 1.0) / 2.0)
+    if ok:
+        d, truth = synth_dataset([mat], 5, 500, np.random.SeedSequence(93))
+        assert d.N == 8 and len(truth[0]) == 3
+    else:
+        with pytest.raises(ValueError, match="planted matrix 0"):
+            synth_dataset([mat], 5, 500, np.random.SeedSequence(93))
+
+
 def test_synth_rejects_short_series():
     with pytest.raises(ValueError):
         synth_dataset([np.eye(4)], 5, 100, np.random.SeedSequence(92))
@@ -352,6 +364,26 @@ def test_reproducibility_determinism():
     a = reproducibility(*args, np.random.SeedSequence(119), samples=1500, repeats=150)
     b = reproducibility(*args, np.random.SeedSequence(119), samples=1500, repeats=150)
     assert a == b
+
+
+def test_reproducibility_checks_every_window_length():
+    # a window whose set p-value misses alpha is checked against the pool too,
+    # not counted 0
+    pool = noise_pool(3, 10, 250, seed=126)
+    windows = noise_pool(3, 10, 300, seed=127)
+    with pytest.raises(ValueError, match="T=300, pool has T=250"):
+        reproducibility([0, 1, 2], windows, 0.01, pool, 128, samples=200, repeats=100)
+
+
+def test_repeats_are_checked_before_any_draw(monkeypatch):
+    pool = noise_pool(3, 10, 200, seed=129)
+    calls = []
+    monkeypatch.setattr(stats, "significance_sigma", lambda *args: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match="repeats must be >= 100"):
+        reproducibility([0, 1, 2], pool, 0.5, pool, 130, samples=50, repeats=99)
+    with pytest.raises(ValueError, match="repeats must be >= 100"):
+        next(stats._pvalues(pool[0], [0, 1, 2], pool, 50, 99, np.random.SeedSequence(131)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("members", [[-1, 0, 1], [0, 0, 1], [0, 1], [0, 1, 10]])
