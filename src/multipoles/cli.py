@@ -153,6 +153,8 @@ def cmd_synth(args, base: str):
         raise ValueError(f"sizes must be a comma list of integers, got {args.sizes!r}")
     if not sizes or any(s < 3 for s in sizes):
         raise ValueError("sizes must contain integers >= 3")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes must be distinct, got {args.sizes!r}")
     args.sizes = sizes
     if args.plant < 0:
         raise ValueError("plant must be >= 0")
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="random-subset search", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_search_flags(p)
     p.add_argument("--trials", type=int, required=True, help="number of random subsets to draw, >= 0")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed, any 64-bit integer")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed, a non-negative integer")
 
     p = sub.add_parser("merge", help="union result files, dedup, drop non-maximal sets", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--inputs", nargs="+", required=True, help="result JSON files to merge")
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted multipoles", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--plant", type=int, required=True, help="number of planted sets, >= 0")
-    p.add_argument("--sizes", default="3,4,5", help="comma list of planted set sizes, each >= 3")
+    p.add_argument("--sizes", default="3,4,5", help="comma list of distinct planted set sizes, each >= 3")
     p.add_argument("--noise-to", type=int, required=True, help="total variable count after noise padding")
     p.add_argument("--T", type=int, required=True, help="rows (timestamps), >= 50 * largest size")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

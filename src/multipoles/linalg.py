@@ -9,7 +9,7 @@ the batch, which deterministic result files rely on.
 ``eigh_many`` diagonalizes a whole stack of same-sized matrices in one
 vectorized pass and is the only eigensolver, capped at MAX_DIM = 64;
 scalar measures solve a stack of one through it, so there is a single code
-path to trust. ``cholesky``, of any size, is the one PSD certificate.
+path to trust. ``_cholesky_stack``, of any size, is the one PSD certificate.
 """
 
 from __future__ import annotations
@@ -172,20 +172,32 @@ def _eigh2(A: NDArray[np.float64], vectors: bool) -> tuple[NDArray[np.float64], 
     return values, _orient(V)
 
 
-def cholesky(A) -> NDArray[np.float64]:
-    """Lower-triangular L with A = L L^T, for strictly positive definite A.
-
-    Raises :class:`NotPositiveDefiniteError` carrying the pivot index when a
-    pivot falls to 1e-12 or below.
-    """
-    M = _as_square(A)
-    k = M.shape[0]
+def _cholesky_stack(M: NDArray[np.float64], shift: float = 0.0) -> tuple[NDArray[np.float64], NDArray[np.intp], NDArray[np.float64]]:
+    """Cholesky factors of a symmetric (B, k, k) stack plus shift * I, the index
+    of each matrix's first pivot at or below 1e-12 (-1 if none) and that pivot
+    (NaN if none). A failed matrix's columns from that pivot on are zero. Each
+    matrix takes the BLAS calls it would take alone: its bits do not depend on
+    the stack."""
+    B, k = M.shape[:2]
     L = np.zeros_like(M)
+    index, failed = np.full(B, -1, dtype=np.intp), np.full(B, np.nan)
     for j in range(k):
-        pivot = M[j, j] - float(np.dot(L[j, :j], L[j, :j]))
-        if pivot <= 1e-12:
-            raise NotPositiveDefiniteError(j, float(pivot))
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < k:
-            L[j + 1 :, j] = (M[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+        row = L[:, j, :j, None]
+        pivot = M[:, j, j] + shift - (row.transpose(0, 2, 1) @ row)[:, 0, 0]
+        fails = (index < 0) & (pivot <= 1e-12)
+        index[fails], failed[fails] = j, pivot[fails]
+        ok = index < 0
+        d = np.sqrt(np.where(ok, pivot, 1.0))
+        L[:, j, j] = np.where(ok, d, 0.0)
+        col = (M[:, j + 1 :, j] - (L[:, j + 1 :, :j] @ row)[:, :, 0]) / d[:, None]
+        L[:, j + 1 :, j] = np.where(ok[:, None], col, 0.0)
+    return L, index, failed
+
+
+def cholesky(A) -> NDArray[np.float64]:
+    """Lower-triangular L with A = L L^T, for strictly positive definite A;
+    raises :class:`NotPositiveDefiniteError` at the first pivot <= 1e-12."""
+    L, index, pivot = _cholesky_stack(_as_square(A)[None])
+    if index[0] >= 0:
+        raise NotPositiveDefiniteError(int(index[0]), float(pivot[0]))
+    return L[0]

@@ -172,30 +172,34 @@ def is_negative_clique(A, signed: SignedSet, rho: float) -> bool:
 def negative_equivalent_witness(A, subset, rho: float) -> Optional[SignedSet]:
     """Canonical sign assignment making all adjusted correlations <= rho, if any.
 
-    Exhausts the 2^(k-1) canonical patterns in binary counting order and
-    returns the first that works, so the witness is deterministic. Limited to
-    25 members.
+    The first witness in binary counting order, member i's flip being bit i-1:
+    member 0 is +1, then each unsigned member, highest index first, is +1, and
+    signs propagate along the pairs that allow only equal (c <= rho) or only
+    opposite (-c <= rho) signs. A pair that allows neither means no witness.
     """
     sub, idx = _checked_subset(A, subset, 2)
     k = len(idx)
-    if k > 25:
-        raise ValueError(f"subset of size {k} too large for exhaustive sign search (max 25)")
-    iu, ju = np.triu_indices(k, 1)
-    pair_corr = sub[iu, ju]
-    total = 1 << (k - 1)
-    chunk = 1 << 16
-    free = np.arange(1, k)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        bits = (codes[:, None] >> (free - 1).astype(np.uint64)) & 1
-        signs = np.ones((codes.size, k), dtype=np.float64)
-        signs[:, 1:] = 1.0 - 2.0 * bits
-        ok = np.all(signs[:, iu] * signs[:, ju] * pair_corr <= rho, axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            s = signs[hits[0]].astype(np.int64)
-            return SignedSet(members=idx, signs=tuple(int(x) for x in s))
-    return None
+    same, flip = sub <= rho, -sub <= rho
+    off = ~np.eye(k, dtype=bool)
+    if not np.all(same | flip | ~off):
+        return None
+    forced = off & (same != flip)
+    signs = [0] * k
+    for start in (0, *range(k - 1, 0, -1)):
+        if signs[start]:
+            continue
+        signs[start] = 1
+        todo = [start]
+        while todo:
+            i = todo.pop()
+            for j in np.nonzero(forced[i])[0].tolist():
+                want = signs[i] if same[i, j] else -signs[i]
+                if not signs[j]:
+                    signs[j] = want
+                    todo.append(j)
+                elif signs[j] != want:
+                    return None
+    return SignedSet(members=idx, signs=tuple(signs))
 
 
 class _Form(NamedTuple):

@@ -8,7 +8,6 @@ run is a prefix of a longer one.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -18,33 +17,16 @@ from . import dataset, linalg, measures
 
 _DRAW_BATCH = 8192
 _PSD_TOL = 1e-10
-_MINOR_TOL = 1e-9
 _PLANT_LAMBDA_FLOOR = 1e-4
 _PLANT_STALL_BATCHES = 64  # consecutive empty proposal batches before giving up
 
 
-def _minors_pass(mats: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """Mask of the stack's matrices whose every 3x3 principal minor has
-    determinant 1 + 2xyz - x^2 - y^2 - z^2 >= -1e-9 (unit diagonal assumed)."""
-    i, j, l = np.array(list(itertools.combinations(range(mats.shape[1]), 3)), dtype=np.intp).reshape(-1, 3).T
-    x, y, z = mats[:, i, j], mats[:, i, l], mats[:, j, l]
-    return np.all(1.0 + 2.0 * x * y * z - x * x - y * y - z * z >= -_MINOR_TOL, axis=1)
-
-
 def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
-    """`count` correlation matrices with uniform [-1,1] off-diagonals,
-    kept iff PSD within 1e-10, in draw order.
+    """`count` correlation matrices with uniform [-1,1] off-diagonals, in
+    draw order, each kept iff M + 1e-10 I has a Cholesky factorization with
+    every pivot above 1e-12.
 
-    A draw with a 3x3 principal minor below -1e-9 (see _minors_pass) is
-    rejected without a Jacobi solve, because it fails the PSD test anyway.
-    That 3x3 block has unit diagonal and |off-diagonal| <= 1, so its
-    eigenvalues lie in [-1, 3] and sum to 3. A negative determinant then
-    means exactly one negative eigenvalue l1, and the other two multiply to
-    at most ((3 - l1)/2)^2 <= 4, so l1 < -1e-9/4 = -2.5e-10. By interlacing
-    the draw's smallest eigenvalue is no higher, below the -1e-10 test by
-    far more than Jacobi's error of about 1e-15. eigh_many's values do not
-    depend on what else shares the stack, so the result is the same bytes
-    as solving every draw.
+    This agrees with lambda_min >= -1e-10 except within about 1e-12 of it.
     """
     if not (2 <= k <= 8):
         raise ValueError(f"k must lie in [2, 8], got {k}")
@@ -59,9 +41,7 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
         mats = np.broadcast_to(np.eye(k), (_DRAW_BATCH, k, k)).copy()
         mats[:, iu, ju] = draws
         mats[:, ju, iu] = draws
-        mats = mats[_minors_pass(mats)]
-        lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-        chunks.append(mats[lam >= -_PSD_TOL])
+        chunks.append(mats[linalg._cholesky_stack(mats, _PSD_TOL)[1] < 0])
         have += len(chunks[-1])
     return np.concatenate(chunks, axis=0)[:count]
 

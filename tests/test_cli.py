@@ -223,6 +223,17 @@ def test_synth_noise_to_must_cover_planted(tmp_path):
                 "--T", "300", "--out", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["3,3", "3,4,3"])
+def test_synth_rejects_a_repeated_size(tmp_path, capsys, monkeypatch, sizes):
+    # one share per size: a repeated size would drop its earlier share of --plant
+    draws = []
+    monkeypatch.setattr(stats, "sample_planted_matrices", lambda *a, **kw: draws.append(a) or [])
+    assert run(["synth", "--plant", "3", "--sizes", sizes, "--noise-to", "20",
+                "--T", "400", "--seed", "1", "--out", tmp_path / "x"]) == 2
+    assert "sizes must be distinct" in capsys.readouterr().err
+    assert draws == [] and not (tmp_path / "x.csv").exists()
+
+
 def test_synth_unreachable_thresholds_exit_2(tmp_path, capsys):
     # no k=3 matrix has gain above 1/(k-1) = 0.5: the planted sampler gives up
     assert run(["synth", "--plant", "1", "--sizes", "3", "--plant-gain", "0.6", "--noise-to", "10",

@@ -1,5 +1,7 @@
 """Eigensolver and Cholesky tests, cross-checked against numpy.linalg."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,8 +232,68 @@ def test_cholesky_rejects_singular():
         cholesky(a)
 
 
+def one_matrix_cholesky(a):
+    """The one-matrix Cholesky loop that the stacked factorization must reproduce bit for bit."""
+    m = (a + a.T) / 2.0
+    k = m.shape[0]
+    ell = np.zeros_like(m)
+    for j in range(k):
+        pivot = m[j, j] - float(np.dot(ell[j, :j], ell[j, :j]))
+        if pivot <= 1e-12:
+            return None
+        ell[j, j] = np.sqrt(pivot)
+        if j + 1 < k:
+            ell[j + 1 :, j] = (m[j + 1 :, j] - ell[j + 1 :, :j] @ ell[j, :j]) / ell[j, j]
+    return ell
+
+
+@pytest.mark.parametrize("k", [*range(2, 13), 64, 100])
+def test_cholesky_bits_match_the_one_matrix_loop(k):
+    rng = np.random.default_rng(1000 + k)
+    for _ in range(20 if k < 64 else 3):
+        a = np.corrcoef(rng.normal(size=(k, 2 * k + 3)))
+        assert cholesky(a).tobytes() == one_matrix_cholesky(a).tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 7, 20])
+def test_cholesky_stack_does_not_depend_on_the_stack(k):
+    rng = np.random.default_rng(30 + k)
+    mats = random_correlation(rng, 200, k)
+    mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+    mats[::3] *= -1.0  # every third fails at pivot 0
+    ell, index, pivot = linalg._cholesky_stack(mats)
+    for i, m in enumerate(mats):
+        alone = linalg._cholesky_stack(m[None])
+        assert ell[i].tobytes() == alone[0][0].tobytes()
+        assert index[i] == alone[1][0] and np.array_equal(pivot[i], alone[2][0], equal_nan=True)
+    assert np.all(index[::3] == 0) and np.all(index[1::3] == -1)
+
+
+def test_cholesky_stack_reports_each_failure_without_warnings():
+    good = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    eq = np.full((3, 3), -0.5)
+    np.fill_diagonal(eq, 1.0)  # pivot 2 is 0 up to rounding
+    indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # pivot 1 is -3
+    huge = np.full((70, 70), -0.5)
+    np.fill_diagonal(huge, 1.0)
+    mats = np.stack([good, eq, indefinite, -good])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ell, index, pivot = linalg._cholesky_stack(mats)
+        big = linalg._cholesky_stack(huge[None])
+    assert index.tolist() == [-1, 2, 1, 0]
+    assert np.isnan(pivot[0]) and abs(pivot[1]) < 1e-15 and pivot[2] == -3.0 and pivot[3] == -1.0
+    assert ell[0].tobytes() == cholesky(good).tobytes()
+    # a failed matrix keeps its columns before the failing pivot and zeros from it on
+    assert ell[1][:2, :2].tobytes() == cholesky(eq[:2, :2]).tobytes()
+    assert not ell[1][:, 2:].any() and not ell[2][:, 1:].any() and not ell[3].any()
+    assert ell[2][:, 0].tolist() == [1.0, 2.0, 0.0]
+    assert big[1][0] == 2 and np.all(np.isfinite(big[0]))
+
+
 def test_is_psd():
-    # PSD within 1e-10 is a smallest eigenvalue >= -1e-10, as the sampler tests it
+    # PSD within 1e-10 is a smallest eigenvalue >= -1e-10; the sampler's Cholesky test agrees with it
+    # except within about 1e-12 of the boundary
     a = np.full((3, 3), -0.9)
     np.fill_diagonal(a, 1.0)
     b = np.full((3, 3), -0.5)

@@ -214,9 +214,41 @@ def test_witness_examples():
     assert w is not None and w.signs == (1, 1, 1)
 
 
-def test_witness_rejects_large_subsets():
-    with pytest.raises(ValueError):
-        negative_equivalent_witness(np.eye(30), list(range(26)), 0.0)
+def test_witness_has_no_size_cap():
+    # c_ij = -r s_i s_j forces every pair, so the one witness is s up to its sign
+    k, r = 40, 0.02
+    s = np.random.default_rng(38).choice([-1, 1], size=k)
+    a = (1.0 + r) * np.eye(k) - r * np.outer(s, s)
+    w = negative_equivalent_witness(a, list(range(k)), 0.0)
+    assert w is not None and w.signs == tuple(int(x) for x in s * s[0])
+    a[0, 1] = a[1, 0] = -a[0, 1]  # now the triangle 0, 1, 2 is inconsistent
+    assert negative_equivalent_witness(a, list(range(k)), 0.0) is None
+
+
+def first_witness_in_counting_order(a, rho):
+    """The exhaustive search: sign patterns in binary counting order, member i's flip as bit i-1."""
+    k = a.shape[0]
+    for code in range(1 << (k - 1)):
+        signs = [1] + [-1 if code >> (i - 1) & 1 else 1 for i in range(1, k)]
+        if all(signs[i] * signs[j] * a[i, j] <= rho for i, j in itertools.combinations(range(k), 2)):
+            return tuple(signs)
+    return None
+
+
+def test_witness_is_the_first_in_counting_order():
+    rng = np.random.default_rng(39)
+    found = 0
+    for k in range(2, 9):
+        for t, a in enumerate(random_correlation(rng, 40, k)):
+            if t % 2:
+                a = np.round(a, 1)  # ties with rho
+                np.fill_diagonal(a, 1.0)
+            for rho in (-1.0, -0.05, 0.0, 0.1, 0.3, 1.0):
+                w = negative_equivalent_witness(a, list(range(k)), rho)
+                want = first_witness_in_counting_order(a, rho)
+                assert (w and w.signs) == want
+                found += want is not None
+    assert found > 500
 
 
 def test_witness_agrees_with_predicate():

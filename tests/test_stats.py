@@ -1,7 +1,5 @@
 """Tests for matrix sampling, synthetic data generation, and significance."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -78,6 +76,43 @@ def test_sampler_rejects_indefinite_draws():
     assert np.all(lam >= -1e-10)
 
 
+class ScriptedDraws(np.random.Generator):
+    """A generator whose uniform draws repeat the given rows of off-diagonals."""
+
+    def __init__(self, rows):
+        super().__init__(np.random.PCG64(0))
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def uniform(self, low, high, size):
+        return np.resize(self.rows, size)
+
+
+def shifted_singular(k, lam, seed):
+    """A correlation matrix with smallest eigenvalue lam: (1 - lam) C + lam I for a singular C."""
+    x = np.random.default_rng(seed).normal(size=(k, k - 1))
+    c = np.corrcoef(x)
+    m = (1.0 - lam) * (c + c.T) / 2.0
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_sampler_psd_boundary_is_minus_1e_10(k):
+    # draws are kept iff lambda_min >= -1e-10, away from a band of about 1e-12
+    mats = [shifted_singular(k, lam, seed=k) for lam in (-2e-10, -5e-11, 0.3, -1e-3)]
+    lam = linalg.eigh_many(np.stack(mats), vectors=False)[0][:, 0]
+    assert lam == pytest.approx([-2e-10, -5e-11, 0.3, -1e-3], rel=1e-3)
+    iu = np.triu_indices(k, 1)
+    kept = stats._accepted_stack(k, 2, ScriptedDraws([m[iu] for m in mats]))
+    assert kept.tobytes() == np.stack([mats[1], mats[2]]).tobytes()
+
+
+def test_sampler_keeps_the_singular_equicorrelated_triple():
+    # all -0.5 has lambda_min = 0 exactly; all -0.5 - 1e-9 has lambda_min = -2e-9
+    kept = stats._accepted_stack(3, 1, ScriptedDraws([[-0.5 - 1e-9] * 3, [-0.5] * 3]))
+    assert kept.tobytes() == equicorrelated(3, -0.5)[None].tobytes()
+
+
 def test_sampler_range_check():
     with pytest.raises(ValueError):
         stats._accepted_stack(1, 5, seed=84)
@@ -103,44 +138,11 @@ def unscreened_stack(k, count, seed):
 
 @pytest.mark.parametrize("k, count", [(2, 20000), (3, 12000), (4, 3000), (5, 400), (6, 14)])
 def test_sampler_screen_keeps_the_unscreened_stack(k, count):
-    # the minor screen only skips solves: the accepted stack is the same bytes
+    # the Cholesky certificate keeps the same bytes as a Jacobi solve of every draw
     for seed in (1, 7, 12345):
         want, batches = unscreened_stack(k, count, seed)
         assert batches >= 2
         assert stats._accepted_stack(k, count, seed).tobytes() == want.tobytes()
-
-
-def exact_det3(block):
-    x, y, z = (Fraction(float(block[i, j])) for i, j in ((0, 1), (0, 2), (1, 2)))
-    return 1 + 2 * x * y * z - x * x - y * y - z * z
-
-
-def test_minor_screen_margin():
-    # 3x3 unit-diagonal blocks with |off| <= 1, with z solving
-    # 1 + 2xyz - x^2 - y^2 - z^2 = target; x = y = -0.5 is the corner where the
-    # other two eigenvalues multiply to the most (9/4)
-    rng = np.random.default_rng(85)
-    blocks = []
-    for target in (-1.001e-9, -2e-9, -1e-7, -0.999e-9, -5e-10, -1e-12):
-        for x, y in [(-0.5, -0.5), (0.5, 0.5), (1.0, 0.3)] + [tuple(rng.uniform(-1, 1, 2)) for _ in range(100)]:
-            for sign in (-1.0, 1.0):
-                z = x * y + sign * np.sqrt((1 - x * x) * (1 - y * y) - target)
-                if abs(z) <= 1.0:
-                    blocks.append([[1.0, x, y], [x, 1.0, z], [y, z, 1.0]])
-    blocks = np.array(blocks)
-    dets = [exact_det3(b) for b in blocks]
-    deep = np.array([d < Fraction(-1e-9) for d in dets])
-    shallow = np.array([Fraction(-1e-9) <= d < 0 for d in dets])
-    assert deep.sum() > 300 and shallow.sum() > 300 and np.all(deep | shallow)
-    lam = linalg.eigh_many(blocks, vectors=False)[0][:, 0]
-    # a screened-out block fails the -1e-10 PSD test outright
-    assert np.all(lam[deep] < -1e-10)
-    assert np.array_equal(stats._minors_pass(blocks), shallow)
-    # the same blocks inside a 5x5 draw (other entries 0) decide it alike
-    mats = np.broadcast_to(np.eye(5), (len(blocks), 5, 5)).copy()
-    mats[:, [[1], [3], [4]], [1, 3, 4]] = blocks
-    assert np.array_equal(stats._minors_pass(mats), shallow)
-    assert np.all(linalg.eigh_many(mats[deep], vectors=False)[0][:, 0] < -1e-10)
 
 
 # ---------------------------------------------------------------- scatter
