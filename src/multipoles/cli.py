@@ -187,7 +187,7 @@ def cmd_signif(args, base: str):
     for i, p in enumerate(pool):
         if p.names != d.names:
             raise ValueError(f"pool file {args.pool[i]} has different variable names than {args.input}")
-    member_names = args.members = [m for m in args.members.split(",") if m]
+    member_names = args.members = [m for m in map(str.strip, args.members.split(",")) if m]
     try:
         members = sorted(d.names.index(m) for m in member_names)
     except ValueError:

@@ -111,12 +111,12 @@ def _resolve_matrix(data) -> CorrelationMatrix:
 
 
 def load_csv(path) -> TimeSeriesDataset:
-    """Read a UTF-8 comma-separated file: header of unique names, numeric rows.
+    """Read a UTF-8 comma-separated file, byte-order mark or not: header of unique names, numeric rows.
 
     Errors name the offending location; data rows and columns are reported
     1-based, not counting the header.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -145,9 +145,9 @@ def load_csv(path) -> TimeSeriesDataset:
 
 
 def save_csv(d: TimeSeriesDataset, path) -> None:
-    """Write a dataset back out in the load_csv format, full float precision."""
+    """Write a dataset back out in the load_csv format, full float precision, names quoted as needed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(d.names) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(d.names)
         for row in d.values:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 

@@ -67,7 +67,9 @@ def eigh_many(
         Stack of symmetric matrices, k <= 64. Symmetry is trusted, not checked;
         callers validate (see ``_as_square``).
     vectors : bool
-        When false, skip eigenvector accumulation (about twice as fast).
+        When false, skip eigenvector accumulation (about twice as fast). The
+        eigenvectors build up in k identity rows below each matrix, turned by
+        the same column rotations.
 
     Returns
     -------
@@ -82,7 +84,7 @@ def eigh_many(
     shares the stack. 2x2 matrices are solved in closed form, so e.g. a
     correlation pair has eigenvalues exactly 1 -+ |c| on every code path.
     """
-    A = np.array(np.asarray(mats, dtype=np.float64))
+    A = np.asarray(mats, dtype=np.float64)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError(f"expected an (n, k, k) stack, got shape {A.shape}")
     n, k = A.shape[0], A.shape[1]
@@ -90,7 +92,7 @@ def eigh_many(
         raise ValueError(f"matrix dimension {k} exceeds the {MAX_DIM} cap")
     if k == 2 and n > 0:
         return _eigh2(A, vectors)
-    V = np.tile(np.eye(k), (n, 1, 1)) if vectors else None
+    A = np.concatenate((A, np.broadcast_to(np.eye(k), (n, k, k))), axis=1) if vectors else np.array(A)
 
     if k >= 2 and n > 0:
         iu, ju = np.triu_indices(k, 1)
@@ -122,19 +124,14 @@ def eigh_many(
                     A[act, :, q] = s * cp + c * cq
                     A[act, p, q] = 0.0
                     A[act, q, p] = 0.0
-                    if V is not None:
-                        vp = V[act, :, p]
-                        vq = V[act, :, q]
-                        V[act, :, p] = c * vp - s * vq
-                        V[act, :, q] = s * vp + c * vq
 
     diag = np.arange(k)
     values = A[:, diag, diag]
     order = np.argsort(values, axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)
-    if V is not None:
-        V = _orient(np.take_along_axis(V, order[:, None, :], axis=2))
-    return values, V
+    if not vectors:
+        return values, None
+    return values, _orient(np.take_along_axis(A[:, k:, :], order[:, None, :], axis=2))
 
 
 def _orient(V: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -109,11 +109,12 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
     holds the given tuples of its size and the one-member deletions (children)
     of the sigma-survivors one level up; each distinct tuple is scored once,
     in one stack per level (up to _STACK_ROWS). A survivor's gain is its
-    children's smallest eigenvalue minus its own. Given tuples are scored at
-    their level; with descend, so is every child of a survivor, except below
-    a given tuple that qualifies whole (within the size cap), which is kept
-    whole. Dependence is monotone in set inclusion, so nothing below a
-    failing set can survive. Only two levels are held at a time.
+    children's smallest eigenvalue minus its own. A given tuple, or with
+    descend a child of a survivor that misses delta, survives if it reaches
+    sigma_threshold. So a set that qualifies (within the size cap) is not
+    searched below, however it was reached: its subsets are not maximal.
+    Dependence is monotone in set inclusion, so nothing below a failing set
+    can survive. Only two levels are held at a time.
 
     A tuple's smallest eigenvalue is read for its sigma and, if it is a child
     of a survivor within the size cap, for that survivor's gain. A tuple read
@@ -140,10 +141,9 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
     over = {s: given.pop(s) for s in sorted(given) if s > linalg.MAX_DIM}
     stop = f"subset lattice skipped {sum(map(len, over.values()))} member set(s) of size {', '.join(map(str, over))}, above the eigensolver's cap of {linalg.MAX_DIM}" if over else None
     records: list[measures.MultipoleRecord] = []
-    # sigma-survivors one level up: members, smallest eigenvalue, sigma, reached by descent
+    # sigma-survivors one level up and their smallest eigenvalues
     up: list[tuple[int, ...]] = []
-    up_lam = up_sig = np.empty(0)
-    up_reached = np.empty(0, dtype=bool)
+    up_lam = np.empty(0)
     # sets one level up that fail sigma by the margin, above the size cap
     failed: list[tuple[int, ...]] = []
     spent = 0
@@ -170,17 +170,16 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
             gain = lam[children].min(axis=1) - up_lam
             qualifies = gain >= cfg.delta_threshold
             if qualifies.any():
-                records += _make_records(M, [t for t, q in zip(up, qualifies) if q], up_sig[qualifies], gain[qualifies])
+                records += _make_records(M, [t for t, q in zip(up, qualifies) if q], measures._sigma_of(up_lam[qualifies]), gain[qualifies])
         if s < 3:
             break
-        scored = np.arange(len(members)) < n_given
-        reached = np.zeros(len(members), dtype=bool)
+        live = np.arange(len(members)) < n_given
         if descend:
-            reached[children[up_reached | ~qualifies]] = True
+            live[children[~qualifies]] = True
         sig = measures._sigma_of(lam)
-        keep = np.nonzero((scored | reached) & (sig >= cfg.sigma_threshold))[0]
+        keep = np.nonzero(live & (sig >= cfg.sigma_threshold))[0]
         up = [members[i] for i in keep]
-        up_lam, up_sig, up_reached = lam[keep], sig[keep], reached[keep]
+        up_lam = lam[keep]
         failed = [members[i] for i in np.nonzero(sig < cfg.sigma_threshold - _SCREEN_MARGIN)[0]] if s > max_size else []
     return records, stop
 
@@ -191,9 +190,10 @@ def extract_from_candidate(A, candidate: measures.SignedSet, cfg: MinerConfig) -
     If the candidate passes both thresholds (and the size cap) it is returned
     alone. Otherwise, if its dependence clears sigma_threshold, its subsets of
     size 3..max_size are searched down the subset lattice, largest first, with
-    monotonicity pruning; each subset is scored once. A candidate below
-    sigma_threshold yields nothing. This is mine's extraction on one
-    candidate. Input is resolved and validated as in mine.
+    monotonicity pruning; each subset is scored once, and one that qualifies
+    is not searched below. A candidate below sigma_threshold yields nothing.
+    This is mine's extraction on one candidate, before the maximality filter.
+    Input is resolved and validated as in mine.
     """
     k = len(candidate.members)
     if k < 3:
@@ -311,10 +311,12 @@ def random_search(A, cfg: MinerConfig, trials: int, seed: int = 0) -> list[measu
     if smax < 3:
         return []
     rng = np.random.default_rng(seed)
-    draws = []
+    draws: dict[tuple[int, ...], None] = {}  # distinct, in first-seen order
     for _ in range(trials):
+        if len(draws) > cfg.budget:  # the lattice could not score them all and stops anyway
+            break
         size = int(rng.integers(3, smax + 1))
-        draws.append(tuple(int(x) for x in np.sort(rng.choice(n, size=size, replace=False))))
+        draws[tuple(int(x) for x in np.sort(rng.choice(n, size=size, replace=False)))] = None
     records, stop = _lattice(M, draws, cfg, descend=False)
     return _finished(_final_sort(records), stop)
 

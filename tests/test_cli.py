@@ -274,6 +274,15 @@ def test_signif_rejects_unknown_member(tmp_path, planted_csv):
                 "--pool", p, "--out", tmp_path / "x.json"]) == 2
 
 
+def test_signif_strips_member_names(tmp_path, planted_csv):
+    path, truth, names = planted_csv
+    pool = write_pool(tmp_path, names, 206)
+    spaced = " , ".join(names[i] for i in truth) + ", "
+    assert run(["signif", "--input", path, "--members", spaced, "--pool", *pool,
+                "--samples", "50", "--repeats", "100", "--out", tmp_path / "sig"]) == 0
+    assert json.loads((tmp_path / "sig.json").read_text())["multipole"] == [names[i] for i in truth]
+
+
 def write_pool(tmp_path, names, seed, count=3):
     """count white-noise windows with the context file's names and T."""
     paths = []

@@ -160,6 +160,29 @@ def test_load_csv_roundtrip(tmp_path):
     assert not back.standardized
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # as Excel's "CSV UTF-8" writes it
+    p = tmp_path / "bom.csv"
+    p.write_bytes("\ufeffa,b,c\n1,2,3\n4,5,7\n7,8,8\n".encode("utf-8"))
+    assert load_csv(p).names == ("a", "b", "c")
+
+
+def test_save_csv_quotes_names_that_need_it(tmp_path):
+    rng = np.random.default_rng(2)
+    d = make_dataset(rng.normal(size=(5, 3)), names=["a,b", "c", 'd"q'])
+    p = tmp_path / "quoted.csv"
+    save_csv(d, p)
+    back = load_csv(p)
+    assert back.names == d.names
+    assert np.array_equal(back.values, d.values)
+
+
+def test_save_csv_header_of_plain_names_is_unquoted(tmp_path):
+    p = tmp_path / "plain.csv"
+    save_csv(make_dataset(np.eye(3), names=["v0000", "v0001", "v0002"]), p)
+    assert p.read_text().splitlines()[0] == "v0000,v0001,v0002"
+
+
 def test_load_csv_reports_nan_position(tmp_path):
     p = tmp_path / "bad.csv"
     for cell in ("NaN", "inf", "-inf", "1e999", "abc"):

@@ -168,6 +168,70 @@ def test_trace_preserved():
     assert np.allclose(vals.sum(axis=1), np.trace(mats, axis1=1, axis2=2), atol=1e-9)
 
 
+def jacobi_with_separate_vectors(mats, vectors):
+    """The Jacobi loop with the eigenvectors in their own (n, k, k) array V,
+    rotated column by column after the matrix: the layout eigh_many had
+    before it stacked them below the matrix."""
+    A = np.array(mats, dtype=np.float64)
+    n, k = A.shape[0], A.shape[1]
+    if k == 2:
+        return linalg._eigh2(A, vectors)
+    V = np.tile(np.eye(k), (n, 1, 1)) if vectors else None
+    if k >= 2:
+        iu, ju = np.triu_indices(k, 1)
+        half_tol = 0.5 * linalg._OFF_TOL * linalg._OFF_TOL
+        for _ in range(linalg._SWEEP_LIMIT):
+            upper = A[:, iu, ju]
+            live = np.nonzero(np.einsum("nm,nm->n", upper, upper) > half_tol)[0]
+            if live.size == 0:
+                break
+            for p in range(k - 1):
+                for q in range(p + 1, k):
+                    act = live[A[live, p, q] != 0.0]
+                    if act.size == 0:
+                        continue
+                    a_pq = A[act, p, q]
+                    tau = (A[act, q, q] - A[act, p, p]) / (2.0 * a_pq)
+                    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
+                    c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
+                    s = (t[:, None]) * c
+                    rp, rq = A[act, p, :], A[act, q, :]
+                    A[act, p, :], A[act, q, :] = c * rp - s * rq, s * rp + c * rq
+                    cp, cq = A[act, :, p], A[act, :, q]
+                    A[act, :, p], A[act, :, q] = c * cp - s * cq, s * cp + c * cq
+                    A[act, p, q] = A[act, q, p] = 0.0
+                    if V is not None:
+                        vp, vq = V[act, :, p], V[act, :, q]
+                        V[act, :, p], V[act, :, q] = c * vp - s * vq, s * vp + c * vq
+    diag = np.arange(k)
+    order = np.argsort(A[:, diag, diag], axis=1, kind="stable")
+    values = np.take_along_axis(A[:, diag, diag], order, axis=1)
+    if V is not None:
+        V = linalg._orient(np.take_along_axis(V, order[:, None, :], axis=2))
+    return values, V
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_stacked_vectors_match_a_separate_vector_array_bit_for_bit(k):
+    # rounded entries, rows and columns of exact zeros (zero pivots are
+    # skipped) and already diagonal matrices that converge before any sweep
+    rng = np.random.default_rng(30 + k)
+    mats = np.concatenate([
+        random_symmetric(rng, 12, k),
+        np.round(random_symmetric(rng, 12, k), 1),
+        random_correlation(rng, 6, k),
+        np.tile(np.diag(rng.normal(size=k)), (4, 1, 1)),
+    ])
+    mats[12:18, 0, :] = mats[12:18, :, 0] = 0.0
+    mats[24:27, k // 2, :] = mats[24:27, :, k // 2] = 0.0
+    mats = rng.permutation(mats)
+    for vectors in (True, False):
+        vals, vecs = eigh_many(mats, vectors)
+        ref_vals, ref_vecs = jacobi_with_separate_vectors(mats, vectors)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert (vecs is None and ref_vecs is None) or vecs.tobytes() == ref_vecs.tobytes()
+
+
 def test_eigh_many_rejects_bad_shapes():
     with pytest.raises(ValueError):
         eigh_many(np.zeros((3, 4)))

@@ -158,6 +158,38 @@ def test_extract_enumerates_subsets_against_exhaustive():
     assert checked == 15
 
 
+def test_extract_does_not_search_below_a_qualifying_set(monkeypatch):
+    # (0, 2, 4) lies only inside (0, 1, 2, 4) and (0, 2, 3, 4), both reached
+    # by descent from the candidate and both qualifying: it is scored for
+    # their gains but not searched, so its child (2, 4) is never scored and it
+    # is no record. (0, 2, 3) is inside (0, 2, 3, 4) too, but is also reached
+    # through (0, 1, 2, 3), which misses delta.
+    a = np.array([
+        [1.0, 0.45, 0.47, 0.57, -0.22],
+        [0.45, 1.0, 0.03, 0.5, 0.04],
+        [0.47, 0.03, 1.0, 0.08, 0.27],
+        [0.57, 0.5, 0.08, 1.0, 0.01],
+        [-0.22, 0.04, 0.27, 0.01, 1.0],
+    ])
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.1)
+    scored = []
+    lambda_min = miner._lambda_min
+
+    def recording(M, members, cuts):
+        scored.extend(members)
+        return lambda_min(M, members, cuts)
+
+    monkeypatch.setattr(miner, "_lambda_min", recording)
+    recs = extract_from_candidate(a, cand(range(5)), cfg)
+    assert (0, 2, 4) in scored and (2, 4) not in scored
+    assert len(scored) == len(set(scored)) == 25
+    assert [r.members for r in recs] == [(0, 2, 3, 4), (0, 1, 2, 4), (0, 2, 3), (0, 1, 2)]
+    maximal = [(0, 1, 2, 4), (0, 2, 3, 4)]
+    assert [r.members for r in remove_non_maximal(recs)] == maximal
+    assert [r.members for r in brute_force(a, cfg)] == maximal
+    assert [r.members for r in mine(a, MinerConfig(sigma_threshold=0.5, delta_threshold=0.1, rho=1.0))] == maximal
+
+
 def test_extract_respects_max_size():
     a = equicorrelated(5, -0.24)
     cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.1, max_size=3)
@@ -623,6 +655,23 @@ def test_random_search_is_deterministic():
     a = random_correlation(rng, 8)
     cfg = MinerConfig(sigma_threshold=0.3, delta_threshold=0.01)
     assert random_search(a, cfg, trials=5000, seed=72) == random_search(a, cfg, trials=5000, seed=72)
+
+
+def test_random_search_stops_drawing_past_the_budget(monkeypatch):
+    # the lattice stops on more distinct draws than the budget, so no more
+    # are drawn
+    class Counting(np.random.Generator):
+        calls = 0
+
+        def choice(self, *args, **kwargs):
+            Counting.calls += 1
+            return super().choice(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+    with pytest.raises(MiningBudgetExceeded, match="budget of 100 sets") as e:
+        random_search(np.eye(40), MinerConfig(budget=100), trials=10**5, seed=1)
+    assert e.value.partial == []
+    assert 101 <= Counting.calls <= 110
 
 
 def test_random_search_reports_only_drawn_sets():
