@@ -7,8 +7,9 @@ every flag the command defines except --out, as the command resolved it
 apart under "inputs", plus the result files and the wall-clock interval.
 Result files are byte-reproducible; manifests carry timing and are not.
 
-Exit codes: 0 success, 2 flag/input validation, 3 a search stage hit its
---budget (partial results written; manifest "stop" names it), 1 internal error.
+Exit codes: 0 success, 2 flag/input validation or a file error (OSError), 3
+a search stage hit its --budget (partial results written; manifest "stop"
+names it), 1 internal error.
 """
 
 from __future__ import annotations
@@ -64,11 +65,7 @@ def _write_manifest(base: str, args, outputs: list, started: str, stop: str | No
 
 
 def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
-    try:
-        raw = dataset.load_csv(path)
-    except OSError as e:
-        raise ValueError(f"cannot read input {path}: {e}")
-    return dataset.standardize(raw, detrend=detrend)
+    return dataset.standardize(dataset.load_csv(path), detrend=detrend)
 
 
 # A command takes the parsed flags and the output base path, writes its result
@@ -101,13 +98,7 @@ def cmd_search(args, base: str):
 
 
 def cmd_merge(args, base: str):
-    lists = []
-    for path in args.inputs:
-        try:
-            lists.append(miner.read_records_json(path))
-        except OSError as e:
-            raise ValueError(f"cannot read input {path}: {e}")
-    merged = miner.merge_by_names(lists)
+    merged = miner.merge_by_names([miner.read_records_json(path) for path in args.inputs])
     json_path = base + ".json"
     csv_path = base + ".csv"
     miner.write_dicts_json(merged, json_path)
@@ -295,7 +286,7 @@ def main(argv=None) -> int:
         manifest = _write_manifest(base, args, outputs, started, stop)
         print(f"{args.command}: {summary} -> {', '.join([*outputs, manifest])}")
         return 3 if stop is not None else 0
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -177,15 +177,24 @@ def standardize(d: TimeSeriesDataset, detrend: bool = False) -> TimeSeriesDatase
     return TimeSeriesDataset(names=d.names, values=X, standardized=True)
 
 
+def _correlations(X, Y=None) -> NDArray[np.float64]:
+    """Correlations of standardized columns, X^T Y / (T-1) clipped to [-1, 1],
+    over the last two axes of one (T, k) block or a (B, T, k) stack, each
+    block with exactly the bits of its 2-d call. Without Y: X's own matrix,
+    symmetrized (a BLAS without the syrk path may leave ulps of asymmetry),
+    with a unit diagonal."""
+    C = np.swapaxes(X, -1, -2) @ (X if Y is None else Y) / (X.shape[-2] - 1)
+    if Y is None:
+        C = (C + np.swapaxes(C, -1, -2)) / 2.0
+        C[..., np.arange(C.shape[-1]), np.arange(C.shape[-1])] = 1.0
+    return np.clip(C, -1.0, 1.0, out=C)
+
+
 def correlation_matrix(d: TimeSeriesDataset) -> CorrelationMatrix:
     """Pearson correlation matrix of a standardized dataset, 1/(T-1) normalized."""
     if not d.standardized:
         raise ValueError("dataset must be standardized first")
-    X = d.values
-    C = (X.T @ X) / (d.T - 1)
-    C = (C + C.T) / 2.0
-    np.clip(C, -1.0, 1.0, out=C)
-    np.fill_diagonal(C, 1.0)
+    C = _correlations(d.values)
     C.flags.writeable = False
     A = object.__new__(CorrelationMatrix)  # PSD by construction: bypass the checks of __post_init__
     object.__setattr__(A, "entries", C)

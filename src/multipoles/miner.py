@@ -312,8 +312,10 @@ def random_search(A, cfg: MinerConfig, trials: int, seed: int = 0) -> list[measu
         return []
     rng = np.random.default_rng(seed)
     draws: dict[tuple[int, ...], None] = {}  # distinct, in first-seen order
+    # past the budget the lattice stops anyway; at every subset a draw adds nothing
+    limit = min(cfg.budget + 1, sum(math.comb(n, s) for s in range(3, smax + 1)))
     for _ in range(trials):
-        if len(draws) > cfg.budget:  # the lattice could not score them all and stops anyway
+        if len(draws) >= limit:
             break
         size = int(rng.integers(3, smax + 1))
         draws[tuple(int(x) for x in np.sort(rng.choice(n, size=size, replace=False)))] = None

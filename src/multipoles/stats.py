@@ -18,7 +18,7 @@ from . import dataset, linalg, measures
 _DRAW_BATCH = 8192
 _PSD_TOL = 1e-10
 _PLANT_LAMBDA_FLOOR = 1e-4
-_PLANT_STALL_BATCHES = 64  # consecutive empty proposal batches before giving up
+_GIVE_UP_BATCHES = 64  # a sampler whose first this many batches keep nothing raises
 
 
 def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
@@ -27,6 +27,8 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
     every pivot above 1e-12.
 
     This agrees with lambda_min >= -1e-10 except within about 1e-12 of it.
+    A k whose first 64 batches of 8192 draws keep nothing (k = 8) raises
+    ValueError.
     """
     if not (2 <= k <= 8):
         raise ValueError(f"k must lie in [2, 8], got {k}")
@@ -37,6 +39,8 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
     chunks = [np.empty((0, k, k))]
     have = 0
     while have < count:
+        if have == 0 and len(chunks) > _GIVE_UP_BATCHES:  # chunks[0] is the empty seed
+            raise ValueError(f"none of the first {_GIVE_UP_BATCHES * _DRAW_BATCH} k={k} draws is PSD within 1e-10")
         draws = rng.uniform(-1.0, 1.0, size=(_DRAW_BATCH, iu.size))
         mats = np.broadcast_to(np.eye(k), (_DRAW_BATCH, k, k)).copy()
         mats[:, iu, ju] = draws
@@ -68,7 +72,7 @@ def sample_planted_matrices(
     mostly matrices with near-zero pairwise correlations, which no graph at
     moderately negative rho can recover.
 
-    Thresholds that 64 consecutive batches of 512 proposals all miss raise
+    Thresholds that the first 64 batches of 512 proposals all miss raise
     ValueError: they are out of reach (at the defaults, k = 6, 7 and 8 are).
     """
     if k < 3:
@@ -81,8 +85,14 @@ def sample_planted_matrices(
     jit = 0.1 / (k - 1)
     out: list[dataset.CorrelationMatrix] = []
     batch = 512
-    stalled = 0
+    batches = 0
     while len(out) < count:
+        if not out and batches == _GIVE_UP_BATCHES:
+            raise ValueError(
+                f"no k={k} planted matrix with dependence >= {dependence_min}, gain >= {gain_min} "
+                f"and rho_s <= {rho_max} in {_GIVE_UP_BATCHES * batch} consecutive proposals"
+            )
+        batches += 1
         u = rng.uniform(0.02, u_hi, size=batch)
         base = -(1.0 - u) / (k - 1)
         jitter = rng.uniform(-jit, jit, size=(batch, iu.size))
@@ -97,12 +107,6 @@ def sample_planted_matrices(
             & (study.gain >= gain_min)
             & (study.rho_s <= rho_max)
         )
-        stalled = 0 if ok.any() else stalled + 1
-        if stalled == _PLANT_STALL_BATCHES:
-            raise ValueError(
-                f"no k={k} planted matrix with dependence >= {dependence_min}, gain >= {gain_min} "
-                f"and rho_s <= {rho_max} in {_PLANT_STALL_BATCHES * batch} consecutive proposals"
-            )
         out += [dataset.CorrelationMatrix(entries=m) for m in mats[ok][: count - len(out)]]
     return out
 
@@ -198,11 +202,7 @@ def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed)
             for j, w in enumerate(windows):
                 col = int(rng.integers(0, pool[w].N))
                 buf[t, :, j] = pool[w].values[:, col]
-        X = buf[:n]
-        C = np.einsum("bti,btj->bij", X, X) / (T - 1)
-        np.clip(C, -1.0, 1.0, out=C)
-        C[:, np.arange(k), np.arange(k)] = 1.0
-        lam = linalg.eigh_many(C, vectors=False)[0][:, 0]
+        lam = linalg.eigh_many(dataset._correlations(buf[:n]), vectors=False)[0][:, 0]
         count_ge += int((measures._sigma_of(lam) >= candidate_sigma).sum())
         done += n
     return (1 + count_ge) / (samples + 1)
@@ -210,13 +210,11 @@ def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed)
 
 def _members_sigma(d: dataset.TimeSeriesDataset, members: tuple[int, ...]):
     """(columns, correlation matrix, linear dependence) of the members of a
-    standardized dataset; the matrix is clipped to [-1, 1] with a unit diagonal."""
+    standardized dataset, the matrix by dataset._correlations."""
     if not d.standardized:
         raise ValueError("dataset must be standardized")
     X = d.values[:, members]
-    C = (X.T @ X) / (d.T - 1)
-    np.clip(C, -1.0, 1.0, out=C)
-    np.fill_diagonal(C, 1.0)
+    C = dataset._correlations(X)
     lam = linalg.eigh_many(C[None], vectors=False)[0][0, 0]
     return X, C, float(measures._sigma_of(lam))
 
@@ -244,8 +242,7 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
         w = int(rng.integers(0, P))
         col = int(rng.integers(0, pool[w].N))
         repl[:, t] = pool[w].values[:, col]
-    cross = (fixed.T @ repl) / (T - 1)
-    np.clip(cross, -1.0, 1.0, out=cross)
+    cross = dataset._correlations(fixed, repl)
     mats = np.broadcast_to(C0, (repeats, k, k)).copy()
     other = [i for i in range(k) if i != pos]
     mats[:, other, pos] = cross.T

@@ -71,6 +71,17 @@ def test_mine_validation_exit_codes(tmp_path, planted_csv, capsys):
     assert "at least 3 rows, got 0" in capsys.readouterr().err
 
 
+def test_output_path_errors_exit_2(tmp_path, planted_csv, capsys):
+    # a result path that is a directory, or under a missing one, is a file error
+    path, _, _ = planted_csv
+    (tmp_path / "r.json").mkdir()
+    assert run(["mine", "--input", path, "--out", tmp_path / "r"]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert run(["mine", "--input", path, "--out", tmp_path / "absent" / "r"]) == 2
+    assert run(["mine", "--input", tmp_path / "absent.csv", "--out", tmp_path / "s"]) == 2
+    assert run(["merge", "--inputs", tmp_path / "absent.json", "--out", tmp_path / "m"]) == 2
+
+
 def test_mine_budget_exit_code(tmp_path, planted_csv):
     path, _, _ = planted_csv
     # the clique and lattice stages of mine (24 cliques at rho 0), and brute's refusal
@@ -193,6 +204,14 @@ def test_sample_rows_are_the_bounds_report_columns(tmp_path):
 def test_sample_rejects_bad_k(tmp_path):
     assert run(["sample", "--k", "9", "--count", "10",
                 "--out", tmp_path / "x.csv"]) == 2
+
+
+@pytest.mark.parametrize("command", ["sample", "bounds"])
+def test_sampler_commands_give_up_at_k_8(tmp_path, capsys, command):
+    # uniform draws at k=8 are almost never PSD: exit 2 instead of running forever
+    assert run([command, "--k", "8", "--count", "1", "--out", tmp_path / "x"]) == 2
+    assert "none of the first 524288 k=8 draws" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bounds_report_has_no_violations(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multipoles import graph, linalg, miner
+from multipoles import dataset, graph, linalg, miner
 from multipoles.dataset import (
     CorrelationMatrix,
     TimeSeriesDataset,
@@ -317,3 +317,20 @@ def test_column_sign_flip_flips_correlation_row():
     expected[:, 2] *= -1
     np.fill_diagonal(expected, 1.0)
     assert np.max(np.abs(A1 - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("T, k", [(300, 3), (400, 5), (1000, 8)])
+def test_correlations_of_a_stack_are_its_blocks_bit_for_bit(T, k):
+    # one formula for one block and for a stack: the significance null and
+    # the dependence it is tested against get the same bits from the same columns
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((64, T, k))
+    C = dataset._correlations(X)
+    assert C.shape == (64, k, k)
+    for b in range(64):
+        assert C[b].tobytes() == dataset._correlations(X[b]).tobytes()
+    assert np.array_equal(C, np.swapaxes(C, 1, 2))
+    assert np.all(C[:, np.arange(k), np.arange(k)] == 1.0)
+    Y = rng.standard_normal((T, 7))
+    cross = dataset._correlations(X[0], Y)
+    assert cross.shape == (k, 7) and np.all(np.abs(cross) <= 1.0)

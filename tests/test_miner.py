@@ -674,6 +674,26 @@ def test_random_search_stops_drawing_past_the_budget(monkeypatch):
     assert 101 <= Counting.calls <= 110
 
 
+def test_random_search_stops_drawing_once_it_holds_every_subset(monkeypatch):
+    # 6 variables have 42 subsets of sizes 3..6; a draw past the 42nd
+    # distinct one adds nothing
+    class Counting(np.random.Generator):
+        calls = 0
+
+        def choice(self, *args, **kwargs):
+            Counting.calls += 1
+            return super().choice(*args, **kwargs)
+
+    a = np.eye(6)
+    a[:3, :3] = equicorrelated(3, -0.5)
+    cfg = MinerConfig(sigma_threshold=0.5, delta_threshold=0.15)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+    recs = random_search(a, cfg, trials=10**5, seed=1)
+    assert [r.members for r in recs] == [(0, 1, 2)]
+    assert 42 <= Counting.calls < 1000
+    assert random_search(a, cfg, trials=Counting.calls, seed=1) == recs
+
+
 def test_random_search_reports_only_drawn_sets():
     # (0, 1, 2) qualifies; the 4-set around it clears sigma but has gain 0
     a = np.eye(4)

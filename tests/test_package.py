@@ -1,6 +1,6 @@
 """Package surface: every advertised export exists, every function the
-benchmark's layer tracer wraps is still there, no private helper is left
-without a caller, and README names only flags the parser defines."""
+benchmark's layer tracer wraps is still there, no private helper or
+constant is left without a reader, and README names only flags the parser defines."""
 
 import argparse
 import ast
@@ -56,23 +56,45 @@ def _referenced_names(tree) -> list[str]:
     return out
 
 
+def _loaded_names(tree) -> set[str]:
+    """Names a module reads: identifiers and attributes in a load context."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_private_helper_has_a_caller():
-    # a module-level _private function or class that nothing in the package
-    # or the benchmark refers to is dead code left behind by a refactor
+    # a module-level _private function, class or constant that nothing in the
+    # package or the benchmark refers to is dead code left behind by a
+    # refactor; a constant counts as used only where it is read
     files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
     trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in files}
     used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    modules = [(f.stem, tree.body) for f, tree in trees.items() if f.parent == SRC]
     private = [
-        f"{f.stem}.{node.name}"
-        for f, tree in trees.items()
-        if f.parent == SRC
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        f"{stem}.{node.name}"
+        for stem, body in modules
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name)
     ]
-    assert private
+    constants = [
+        f"{stem}.{target.id}"
+        for stem, body in modules
+        for node in body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and _private(target.id)
+    ]
+    assert private and constants
     assert [name for name in private if name.split(".", 1)[1] not in used] == []
+    assert [name for name in constants if name.split(".", 1)[1] not in loaded] == []
 
 
 def test_readme_command_line_flags_exist():

@@ -258,6 +258,12 @@ def test_planted_matrices_unreachable_thresholds_raise(thresholds):
         sample_planted_matrices(3, 1, np.random.SeedSequence(94), **thresholds)
 
 
+def test_sampler_gives_up_where_its_first_batches_keep_nothing():
+    # uniform draws are almost never PSD at k=8: 64 empty batches raise
+    with pytest.raises(ValueError, match="none of the first 524288 k=8 draws"):
+        stats._accepted_stack(8, 1, 3)
+
+
 # ---------------------------------------------------------------- significance
 
 
@@ -288,6 +294,26 @@ def test_significance_planted_multipole():
     sigma = measures.linear_dependence(dataset.correlation_matrix(s), truth[0])
     p = significance_sigma(sigma, 3, pool, 10_000, np.random.SeedSequence(101))
     assert p < 0.01
+
+
+def test_null_matrices_are_the_members_matrices_bit_for_bit(monkeypatch):
+    # every matrix of the set-level null is _members_sigma's matrix of the
+    # drawn columns: the same formula as the dependence it is compared with
+    pool = noise_pool(5, 12, 400, seed=110)
+    solve = linalg.eigh_many
+    seen = []
+    monkeypatch.setattr(linalg, "eigh_many", lambda C, **kw: seen.append(C.copy()) or solve(C, **kw))
+    k, samples = 4, 300
+    significance_sigma(0.5, k, pool, samples, np.random.SeedSequence(111))
+    monkeypatch.undo()
+    mats = np.concatenate(seen)
+    assert mats.shape == (samples, k, k)
+    rng = np.random.default_rng(np.random.SeedSequence(111))  # re-draw the columns
+    for C in mats:
+        windows = rng.choice(len(pool), size=k, replace=False)
+        cols = [pool[w].values[:, int(rng.integers(0, pool[w].N))] for w in windows]
+        d = dataset.TimeSeriesDataset(names=tuple("abcd"), values=np.column_stack(cols), standardized=True)
+        assert C.tobytes() == stats._members_sigma(d, tuple(range(k)))[1].tobytes()
 
 
 def test_significance_pool_too_small():
