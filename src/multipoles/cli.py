@@ -142,8 +142,8 @@ def cmd_synth(args, base: str):
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise ValueError(f"sizes must be a comma list of integers, got {args.sizes!r}")
-    if not sizes or any(s < 3 for s in sizes):
-        raise ValueError("sizes must contain integers >= 3")
+    if not sizes or any(not 3 <= s <= 8 for s in sizes):
+        raise ValueError("sizes must contain integers in [3, 8]")
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"sizes must be distinct, got {args.sizes!r}")
     args.sizes = sizes
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted multipoles", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--plant", type=int, required=True, help="number of planted sets, >= 0")
-    p.add_argument("--sizes", default="3,4,5", help="comma list of distinct planted set sizes, each >= 3")
+    p.add_argument("--sizes", default="3,4,5", help="comma list of distinct planted set sizes, each in [3, 8]")
     p.add_argument("--noise-to", type=int, required=True, help="total variable count after noise padding")
     p.add_argument("--T", type=int, required=True, help="rows (timestamps), >= 50 * largest size")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

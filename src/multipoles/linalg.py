@@ -136,6 +136,8 @@ def eigh_many(
 
 def _orient(V: NDArray[np.float64]) -> NDArray[np.float64]:
     """Flip each eigenvector column so its first component above ORIENT_EPS in magnitude is positive."""
+    if V.size == 0:  # at k = 0 argmax would have no row to scan
+        return V
     first = np.argmax(np.abs(V) > ORIENT_EPS, axis=1)  # (n, k) row index per column
     lead = np.take_along_axis(V, first[:, None, :], axis=1)[:, 0, :]
     return V * np.where(lead < 0.0, -1.0, 1.0)[:, None, :]

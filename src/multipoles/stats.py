@@ -1,9 +1,11 @@
 """Random-matrix sampling, synthetic data with planted structure, and
 permutation-style significance testing.
 
-Every sampler draws through numpy Generator streams in fixed-size internal
-batches, so output is a deterministic function of the seed and a shorter
-run is a prefix of a longer one.
+Both matrix samplers draw through one loop, _draw_stack, and differ only in
+their proposal and keep test: uniform PSD matrices (_accepted_stack, k in
+[2, 8]) and planted near-equicorrelated ones (sample_planted_matrices, k in
+[3, 8]). Batches have a fixed size, so output is a deterministic function of
+the seed and a shorter run is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -15,23 +17,18 @@ from numpy.typing import NDArray
 
 from . import dataset, linalg, measures
 
-_DRAW_BATCH = 8192
+_DRAW_BATCH = 8192  # uniform draws per batch
+_PLANT_BATCH = 512  # planted proposals per batch
 _PSD_TOL = 1e-10
 _PLANT_LAMBDA_FLOOR = 1e-4
 _GIVE_UP_BATCHES = 64  # a sampler whose first this many batches keep nothing raises
 
 
-def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
-    """`count` correlation matrices with uniform [-1,1] off-diagonals, in
-    draw order, each kept iff M + 1e-10 I has a Cholesky factorization with
-    every pivot above 1e-12.
-
-    This agrees with lambda_min >= -1e-10 except within about 1e-12 of it.
-    A k whose first 64 batches of 8192 draws keep nothing (k = 8) raises
-    ValueError.
-    """
-    if not (2 <= k <= 8):
-        raise ValueError(f"k must lie in [2, 8], got {k}")
+def _draw_stack(k: int, count: int, seed, batch: int, propose, keep, give_up: str) -> NDArray[np.float64]:
+    """The first `count` matrices, in draw order, that keep(stack) marks in
+    unit-diagonal stacks of `batch` k x k matrices whose row-major upper
+    triangles are propose(rng, (batch, k(k-1)/2)). Raises ValueError(give_up)
+    when the first _GIVE_UP_BATCHES batches keep nothing."""
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
@@ -40,14 +37,30 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
     have = 0
     while have < count:
         if have == 0 and len(chunks) > _GIVE_UP_BATCHES:  # chunks[0] is the empty seed
-            raise ValueError(f"none of the first {_GIVE_UP_BATCHES * _DRAW_BATCH} k={k} draws is PSD within 1e-10")
-        draws = rng.uniform(-1.0, 1.0, size=(_DRAW_BATCH, iu.size))
-        mats = np.broadcast_to(np.eye(k), (_DRAW_BATCH, k, k)).copy()
-        mats[:, iu, ju] = draws
-        mats[:, ju, iu] = draws
-        chunks.append(mats[linalg._cholesky_stack(mats, _PSD_TOL)[1] < 0])
+            raise ValueError(give_up)
+        upper = propose(rng, (batch, iu.size))
+        mats = np.broadcast_to(np.eye(k), (batch, k, k)).copy()
+        mats[:, iu, ju] = upper
+        mats[:, ju, iu] = upper
+        chunks.append(mats[keep(mats)])
         have += len(chunks[-1])
     return np.concatenate(chunks, axis=0)[:count]
+
+
+def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
+    """`count` correlation matrices with uniform [-1,1] off-diagonals, in
+    draw order, kept iff M + 1e-10 I has a Cholesky factorization with every
+    pivot above 1e-12 (iff lambda_min >= -1e-10, up to about 1e-12). k lies
+    in [2, 8]; k = 8 raises ValueError: its first 64 batches of 8192 keep none.
+    """
+    if not (2 <= k <= 8):
+        raise ValueError(f"k must lie in [2, 8], got {k}")
+    return _draw_stack(
+        k, count, seed, _DRAW_BATCH,
+        lambda rng, shape: rng.uniform(-1.0, 1.0, size=shape),
+        lambda mats: linalg._cholesky_stack(mats, _PSD_TOL)[1] < 0,
+        f"none of the first {_GIVE_UP_BATCHES * _DRAW_BATCH} k={k} draws is PSD within 1e-10",
+    )
 
 
 def sample_planted_matrices(
@@ -64,51 +77,38 @@ def sample_planted_matrices(
     r = -1/(k-1) (shrunk toward zero by a small uniform factor, then
     entrywise jittered) and keeps those with dependence >= dependence_min,
     gain >= gain_min, every self-canceling correlation <= rho_max, and
-    smallest eigenvalue >= 1e-4. The margins matter: a planted set
-    is recoverable from data of finite length only if sampling noise cannot
-    push its dependence or gain under the mining thresholds, nor any
-    pairwise correlation across the graph-construction threshold. Plain
-    uniform PSD sampling conditioned on dependence and gain alone produces
-    mostly matrices with near-zero pairwise correlations, which no graph at
-    moderately negative rho can recover.
+    smallest eigenvalue >= 1e-4. The margins matter: a planted set is
+    recoverable from finite data only if sampling noise cannot push its
+    dependence or gain under the mining thresholds, nor any pairwise
+    correlation across the graph-construction threshold. Uniform PSD draws
+    conditioned on dependence and gain alone are mostly near-zero pairwise
+    correlations, which no graph at moderately negative rho can recover.
 
-    Thresholds that the first 64 batches of 512 proposals all miss raise
-    ValueError: they are out of reach (at the defaults, k = 6, 7 and 8 are).
+    k lies in [3, 8]. Thresholds that the first 64 batches of 512 proposals
+    all miss are out of reach and raise ValueError (k = 6-8 at the defaults).
     """
-    if k < 3:
-        raise ValueError(f"planted matrices need k >= 3, got {k}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(k, 1)
-    u_hi = 0.32 / (k - 1)
+    if not (3 <= k <= 8):
+        raise ValueError(f"planted matrices need k in [3, 8], got {k}")
     jit = 0.1 / (k - 1)
-    out: list[dataset.CorrelationMatrix] = []
-    batch = 512
-    batches = 0
-    while len(out) < count:
-        if not out and batches == _GIVE_UP_BATCHES:
-            raise ValueError(
-                f"no k={k} planted matrix with dependence >= {dependence_min}, gain >= {gain_min} "
-                f"and rho_s <= {rho_max} in {_GIVE_UP_BATCHES * batch} consecutive proposals"
-            )
-        batches += 1
-        u = rng.uniform(0.02, u_hi, size=batch)
-        base = -(1.0 - u) / (k - 1)
-        jitter = rng.uniform(-jit, jit, size=(batch, iu.size))
-        mats = np.broadcast_to(np.eye(k), (batch, k, k)).copy()
-        vals = base[:, None] + jitter
-        mats[:, iu, ju] = vals
-        mats[:, ju, iu] = vals
+
+    def propose(rng, shape):
+        u = rng.uniform(0.02, 0.32 / (k - 1), size=shape[0])
+        return (-(1.0 - u) / (k - 1))[:, None] + rng.uniform(-jit, jit, size=shape)
+
+    def keep(mats):
         study = measures._study_stack(mats)
-        ok = (
+        return (
             (study.lambda_min >= _PLANT_LAMBDA_FLOOR)
             & (1.0 - study.lambda_min >= dependence_min)
             & (study.gain >= gain_min)
             & (study.rho_s <= rho_max)
         )
-        out += [dataset.CorrelationMatrix(entries=m) for m in mats[ok][: count - len(out)]]
-    return out
+
+    return [dataset.CorrelationMatrix(entries=m) for m in _draw_stack(
+        k, count, seed, _PLANT_BATCH, propose, keep,
+        f"no k={k} planted matrix with dependence >= {dependence_min}, gain >= {gain_min} "
+        f"and rho_s <= {rho_max} in {_GIVE_UP_BATCHES * _PLANT_BATCH} consecutive proposals",
+    )]
 
 
 def synth_dataset(planted, noise_count: int, T: int, seed):

@@ -254,11 +254,14 @@ def test_synth_rejects_a_repeated_size(tmp_path, capsys, monkeypatch, sizes):
 
 
 def test_synth_unreachable_thresholds_exit_2(tmp_path, capsys):
-    # no k=3 matrix has gain above 1/(k-1) = 0.5: the planted sampler gives up
-    assert run(["synth", "--plant", "1", "--sizes", "3", "--plant-gain", "0.6", "--noise-to", "10",
-                "--T", "500", "--out", tmp_path / "x"]) == 2
-    assert "no k=3 planted matrix" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    # no k=3 matrix has gain above 1/(k-1) = 0.5: the planted sampler gives up;
+    # a size above 8 is refused before any proposal
+    for options, message in ((["--sizes", "3", "--plant-gain", "0.6"], "no k=3 planted matrix"),
+                             (["--sizes", "9"], "sizes must contain integers in [3, 8]")):
+        assert run(["synth", "--plant", "1", *options, "--noise-to", "10",
+                    "--T", "500", "--out", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_signif_end_to_end(tmp_path, planted_csv):

@@ -242,9 +242,11 @@ def test_eigh_many_rejects_bad_shapes():
 
 
 def test_eigh_many_empty_stack():
-    vals, vecs = eigh_many(np.zeros((0, 4, 4)), vectors=True)
-    assert vals.shape == (0, 4)
-    assert vecs.shape == (0, 4, 4)
+    # no matrices, or matrices of size 0
+    for n, k in ((0, 4), (3, 0)):
+        vals, vecs = eigh_many(np.zeros((n, k, k)), vectors=True)
+        assert vals.shape == (n, k)
+        assert vecs.shape == (n, k, k)
 
 
 def test_cholesky_matches_numpy():

@@ -38,18 +38,31 @@ def test_sampler_is_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("k", [2, 5])
-def test_sampler_count_zero_is_an_empty_stack(k):
-    a = stats._accepted_stack(k, 0, seed=80)
+def planted_stack(k, count, seed):
+    """sample_planted_matrices' entries as one (count, k, k) stack."""
+    return np.array([m.entries for m in sample_planted_matrices(k, count, seed)]).reshape(-1, k, k)
+
+
+@pytest.mark.parametrize("sample, k", [
+    pytest.param(stats._accepted_stack, 2, id="2"),
+    pytest.param(stats._accepted_stack, 5, id="5"),
+    pytest.param(planted_stack, 3, id="planted-3"),
+])
+def test_sampler_count_zero_is_an_empty_stack(sample, k):
+    a = sample(k, 0, seed=80)
     assert a.shape == (0, k, k)
     assert a.dtype == np.float64
 
 
-def test_sampler_prefix_stability():
+@pytest.mark.parametrize("sample, k, short, long", [
+    pytest.param(stats._accepted_stack, 4, 5, 50, id="uniform"),
+    pytest.param(planted_stack, 4, 3, 12, id="planted"),
+])
+def test_sampler_prefix_stability(sample, k, short, long):
     # the first matrices do not depend on how many are requested
-    a = stats._accepted_stack(4, 5, seed=81)
-    b = stats._accepted_stack(4, 50, seed=81)
-    assert np.array_equal(a, b[:5])
+    a = sample(k, short, seed=81)
+    b = sample(k, long, seed=81)
+    assert a.tobytes() == b[:short].tobytes()
 
 
 def test_sampler_output_is_valid():
@@ -249,6 +262,43 @@ def test_planted_matrices_meet_mining_filters():
             cf = measures.self_canceling_form(m, sub)
             assert cf.rho_s <= -0.2
             assert np.linalg.eigvalsh(m.entries)[0] > 1e-6
+
+
+def planted_loop(k, count, seed):
+    """The planted sampler at the default thresholds as its own loop, cut per
+    batch, and the number of proposal batches it took."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(k, 1)
+    u_hi = 0.32 / (k - 1)
+    jit = 0.1 / (k - 1)
+    out, batches = [], 0
+    while len(out) < count:
+        batches += 1
+        u = rng.uniform(0.02, u_hi, size=512)
+        base = -(1.0 - u) / (k - 1)
+        jitter = rng.uniform(-jit, jit, size=(512, iu.size))
+        mats = np.broadcast_to(np.eye(k), (512, k, k)).copy()
+        vals = base[:, None] + jitter
+        mats[:, iu, ju] = vals
+        mats[:, ju, iu] = vals
+        study = measures._study_stack(mats)
+        ok = (
+            (study.lambda_min >= 1e-4)
+            & (1.0 - study.lambda_min >= 0.75)
+            & (study.gain >= 0.15)
+            & (study.rho_s <= -0.2)
+        )
+        out += [dataset.CorrelationMatrix(entries=m) for m in mats[ok][: count - len(out)]]
+    return out, batches
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_planted_sampler_matches_its_own_loop_bit_for_bit(k):
+    for seed in (1, 7, 12345):
+        want, batches = planted_loop(k, 600, np.random.SeedSequence(seed))
+        got = sample_planted_matrices(k, 600, np.random.SeedSequence(seed))
+        assert batches >= 2
+        assert [m.entries.tobytes() for m in got] == [m.entries.tobytes() for m in want]
 
 
 @pytest.mark.parametrize("thresholds", [{"gain_min": 0.6}, {"rho_max": -0.9}])
