@@ -9,7 +9,10 @@ the batch, which deterministic result files rely on.
 ``eigh_many`` diagonalizes a whole stack of same-sized matrices in one
 vectorized pass and is the only eigensolver, capped at MAX_DIM = 64;
 scalar measures solve a stack of one through it, so there is a single code
-path to trust. ``_cholesky_stack``, of any size, is the one PSD certificate.
+path to trust. It rotates a copy with the matrix index last, so each
+rotation is a few whole-row operations on contiguous slices, and once per
+sweep writes out the matrices that converged and compacts the rest.
+``_cholesky_stack``, of any size, is the one PSD certificate.
 """
 
 from __future__ import annotations
@@ -65,11 +68,12 @@ def eigh_many(
     ----------
     mats : (n, k, k) array
         Stack of symmetric matrices, k <= 64. Symmetry is trusted, not checked;
-        callers validate (see ``_as_square``).
+        callers validate (see ``_as_square``). The input is never written.
     vectors : bool
-        When false, skip eigenvector accumulation (about twice as fast). The
-        eigenvectors build up in k identity rows below each matrix, turned by
-        the same column rotations.
+        When false, skip eigenvector accumulation (1.35 to 1.85 times as
+        fast at k = 3..12, 1.66 in the median). The eigenvectors build up in
+        k identity rows below each matrix, turned by the same column
+        rotations.
 
     Returns
     -------
@@ -77,12 +81,18 @@ def eigh_many(
     vectors : (n, k, k) array or None
         Column ``[:, :, i]`` pairs with ``values[:, i]``, canonically oriented.
 
-    Rotations run in row-major upper-triangle order until a matrix's
-    off-diagonal Frobenius norm is <= 1e-13 (or 100 sweeps). A matrix that
-    converges drops out of later sweeps, so each matrix sees exactly the
-    rotation sequence it would see alone: results do not depend on what else
-    shares the stack. 2x2 matrices are solved in closed form, so e.g. a
-    correlation pair has eigenvalues exactly 1 -+ |c| on every code path.
+    The working copy is a ``(rows, k, m)`` array with the matrix index last
+    (rows is k, or 2k with the eigenvectors below), so every rotation
+    updates contiguous rows ``[p]``, ``[q]`` and columns ``[:, p]``,
+    ``[:, q]`` of all m live matrices at once. Rotations run in row-major
+    upper-triangle order; a matrix whose pivot is an exact zero (either
+    sign) sits that rotation out. Before each sweep, the matrices whose
+    off-diagonal Frobenius norm is <= 1e-13 are written out and the rest
+    compacted to the front of the buffer; after 100 sweeps all are written
+    out. So each matrix sees exactly the rotation sequence it would see
+    alone: results do not depend on what else shares the stack. 2x2
+    matrices are solved in closed form, so e.g. a correlation pair has
+    eigenvalues exactly 1 -+ |c| on every code path.
     """
     A = np.asarray(mats, dtype=np.float64)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
@@ -92,46 +102,74 @@ def eigh_many(
         raise ValueError(f"matrix dimension {k} exceeds the {MAX_DIM} cap")
     if k == 2 and n > 0:
         return _eigh2(A, vectors)
-    A = np.concatenate((A, np.broadcast_to(np.eye(k), (n, k, k))), axis=1) if vectors else np.array(A)
+    work = np.empty((2 * k if vectors else k, k, n))
+    work[:k] = A.transpose(1, 2, 0)
+    if vectors:
+        work[k:] = np.eye(k)[:, :, None]
+    values = np.empty((n, k))
+    V = np.empty((n, k, k)) if vectors else None
 
-    if k >= 2 and n > 0:
-        iu, ju = np.triu_indices(k, 1)
-        # off-diagonal Frobenius norm counts both triangles
-        half_tol = 0.5 * _OFF_TOL * _OFF_TOL
-        for _ in range(_SWEEP_LIMIT):
-            upper = A[:, iu, ju]
-            live = np.nonzero(np.einsum("nm,nm->n", upper, upper) > half_tol)[0]
-            if live.size == 0:
-                break
-            for p in range(k - 1):
-                for q in range(p + 1, k):
-                    apq = A[live, p, q]
-                    act = live[apq != 0.0]
-                    if act.size == 0:
-                        continue
-                    a_pq = A[act, p, q]
-                    tau = (A[act, q, q] - A[act, p, p]) / (2.0 * a_pq)
-                    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
-                    c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
-                    s = (t[:, None]) * c
-                    rp = A[act, p, :]
-                    rq = A[act, q, :]
-                    A[act, p, :] = c * rp - s * rq
-                    A[act, q, :] = s * rp + c * rq
-                    cp = A[act, :, p]
-                    cq = A[act, :, q]
-                    A[act, :, p] = c * cp - s * cq
-                    A[act, :, q] = s * cp + c * cq
-                    A[act, p, q] = 0.0
-                    A[act, q, p] = 0.0
-
+    L, live = work, np.arange(n)
+    iu, ju = np.triu_indices(k, 1)
     diag = np.arange(k)
-    values = A[:, diag, diag]
+    squares = np.empty((n, iu.size))
+    # off-diagonal Frobenius norm counts both triangles
+    half_tol = 0.5 * _OFF_TOL * _OFF_TOL
+    for sweep in range(_SWEEP_LIMIT + 1):
+        # the sum of squares runs over a contiguous row per matrix, as it
+        # would for that matrix alone; filled pair by pair, not via a copy
+        upper = squares[: live.size]
+        for j in range(iu.size):
+            upper[:, j] = L[iu[j], ju[j]]
+        going = (np.einsum("nm,nm->n", upper, upper) > half_tol) & (sweep < _SWEEP_LIMIT)
+        if not going.all():
+            # write out and compact row by row: no temporary as large as the stack
+            done = ~going
+            values[live[done]] = L[diag, diag][:, done].T
+            if vectors:
+                for r in range(k):
+                    V[live[done], r] = L[k + r][:, done].T
+            keep = np.flatnonzero(going)
+            for r in range(len(work)):
+                work[r, :, : keep.size] = L[r][:, keep]
+            L, live = work[:, :, : keep.size], live[keep]
+        if live.size == 0:
+            break
+        _sweep(L, k)
+    del work, L, squares, upper  # the working buffers are not needed for the sort
+
     order = np.argsort(values, axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)
     if not vectors:
         return values, None
-    return values, _orient(np.take_along_axis(A[:, k:, :], order[:, None, :], axis=2))
+    return values, _orient(np.take_along_axis(V, order[:, None, :], axis=2))
+
+
+def _sweep(L: NDArray[np.float64], k: int) -> None:
+    """One cyclic Jacobi sweep, in place, over a (rows, k, m) stack whose first
+    k rows hold the matrices."""
+    # tau * tau overflows to inf for a pivot below about 1e-154 times the
+    # diagonal gap, which makes t exactly 0: the rotation's limit, not an error
+    with np.errstate(over="ignore"):
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                nonzero = L[p, q] != 0.0
+                # basic slices while every live pivot is nonzero, else the live
+                # matrices with one
+                sel = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
+                a_pq = L[p, q][sel]
+                if a_pq.size == 0:
+                    continue
+                tau = (L[q, q][sel] - L[p, p][sel]) / (2.0 * a_pq)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = L[p][:, sel], L[q][:, sel]
+                L[p][:, sel], L[q][:, sel] = c * rp - s * rq, s * rp + c * rq
+                cp, cq = L[:, p][:, sel], L[:, q][:, sel]
+                L[:, p][:, sel], L[:, q][:, sel] = c * cp - s * cq, s * cp + c * cq
+                L[p, q][sel] = 0.0
+                L[q, p][sel] = 0.0
 
 
 def _orient(V: NDArray[np.float64]) -> NDArray[np.float64]:

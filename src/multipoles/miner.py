@@ -61,7 +61,9 @@ def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64
 
 
 # Most matrices per eigh_many stack: the solver's scratch grows with the
-# stack, and only a brute-force level of 10^5 subsets comes near this.
+# stack, and only a brute-force level of 10^5 subsets comes near this. At the
+# cap, one values-only solve of 12x12 matrices peaks at 66 MiB under
+# tracemalloc, the 36 MiB stack itself not counted (147 MiB with vectors).
 _STACK_ROWS = 1 << 15
 
 # A set whose smallest eigenvalue provably exceeds 1 - sigma_threshold by this

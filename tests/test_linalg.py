@@ -22,6 +22,22 @@ def random_correlation(rng, n, k):
     return cov / (d[:, :, None] * d[:, None, :])
 
 
+def mixed_convergence(rng, n, k):
+    """Diagonal matrices plus symmetric noise scaled from 1e-15 to 1: some
+    start converged and the rest converge over different numbers of sweeps,
+    so the live set shrinks more than once."""
+    scales = np.logspace(-15, 0, n)[rng.permutation(n)]
+    diag = rng.normal(size=(n, k))[:, :, None] * np.eye(k)
+    return diag + scales[:, None, None] * random_symmetric(rng, n, k)
+
+
+def block_diagonal(rng, n, k):
+    """Two random symmetric blocks: the pivots between them stay exact zeros."""
+    mats = random_symmetric(rng, n, k)
+    mats[:, : k // 2, k // 2 :] = mats[:, k // 2 :, : k // 2] = 0.0
+    return mats
+
+
 def test_values_match_numpy_random_stack():
     rng = np.random.default_rng(11)
     for k in (2, 3, 4, 5, 8, 13):
@@ -128,7 +144,7 @@ def test_batch_composition_does_not_affect_results():
     # convergence masking is per matrix: the same matrix solved alone or
     # alongside unrelated ones must give bit-identical output
     rng = np.random.default_rng(17)
-    mats = random_correlation(rng, 12, 5)
+    mats = np.concatenate([random_correlation(rng, 12, 5), mixed_convergence(rng, 12, 5), block_diagonal(rng, 4, 5)])
     alone_vals = []
     alone_vecs = []
     for m in mats:
@@ -211,25 +227,62 @@ def jacobi_with_separate_vectors(mats, vectors):
     return values, V
 
 
+def assert_matches_the_reference(mats):
+    for vectors in (True, False):
+        vals, vecs = eigh_many(mats, vectors)
+        with np.errstate(over="ignore"):  # tau * tau overflows on decoupled blocks
+            ref_vals, ref_vecs = jacobi_with_separate_vectors(mats, vectors)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert (vecs is None and ref_vecs is None) or vecs.tobytes() == ref_vecs.tobytes()
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_stacked_vectors_match_a_separate_vector_array_bit_for_bit(k):
-    # rounded entries, rows and columns of exact zeros (zero pivots are
-    # skipped) and already diagonal matrices that converge before any sweep
+    # rounded entries, rows and columns of exact zeros, pivots and rows of -0.0
+    # (zero pivots are skipped), block-diagonal matrices whose decoupled pairs give
+    # zero pivots in only part of the stack, and a mix of already diagonal and
+    # slowly converging matrices, so the live set shrinks over several sweeps
     rng = np.random.default_rng(30 + k)
     mats = np.concatenate([
         random_symmetric(rng, 12, k),
         np.round(random_symmetric(rng, 12, k), 1),
         random_correlation(rng, 6, k),
         np.tile(np.diag(rng.normal(size=k)), (4, 1, 1)),
+        random_symmetric(rng, 6, k),
+        block_diagonal(rng, 6, k),
+        mixed_convergence(rng, 24, k),
     ])
     mats[12:18, 0, :] = mats[12:18, :, 0] = 0.0
     mats[24:27, k // 2, :] = mats[24:27, :, k // 2] = 0.0
-    mats = rng.permutation(mats)
-    for vectors in (True, False):
-        vals, vecs = eigh_many(mats, vectors)
-        ref_vals, ref_vecs = jacobi_with_separate_vectors(mats, vectors)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert (vecs is None and ref_vecs is None) or vecs.tobytes() == ref_vecs.tobytes()
+    mats[34:40, 0, 1:] = mats[34:40, 1:, 0] = -0.0
+    mats[37:40, k - 1, : k - 1] = mats[37:40, : k - 1, k - 1] = -0.0
+    # a rotation with c=1, s=0 would flip the sign of this zero diagonal
+    mats[46:52, k // 2, :] = mats[46:52, :, k // 2] = -0.0
+    stacks = [rng.permutation(mats)]
+    if k == 8:
+        stacks.append(np.concatenate([random_symmetric(rng, 1000, k), random_correlation(rng, 1000, k)]))
+    for stack in stacks:
+        assert_matches_the_reference(stack)
+
+
+def test_matrices_left_at_the_sweep_cap_match_the_reference_bit_for_bit(monkeypatch):
+    # with the cap at two sweeps most random matrices are written out unconverged
+    monkeypatch.setattr(linalg, "_SWEEP_LIMIT", 2)
+    rng = np.random.default_rng(40)
+    assert_matches_the_reference(np.concatenate([random_symmetric(rng, 20, 6), mixed_convergence(rng, 20, 6)]))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_eigh_many_never_writes_its_input(k):
+    # a stack of one made from a 2-d matrix, as the significance null passes it,
+    # and a stack of five
+    rng = np.random.default_rng(50 + k)
+    for n in (1, 5):
+        mats = random_correlation(rng, 1, k)[0][None] if n == 1 else random_symmetric(rng, n, k)
+        before = mats.tobytes()
+        for vectors in (True, False):
+            eigh_many(mats, vectors)
+            assert mats.tobytes() == before
 
 
 def test_eigh_many_rejects_bad_shapes():
