@@ -113,8 +113,14 @@ def _resolve_matrix(data) -> CorrelationMatrix:
 def load_csv(path) -> TimeSeriesDataset:
     """Read a UTF-8 comma-separated file, byte-order mark or not: header of unique names, numeric rows.
 
-    Errors name the offending location; data rows and columns are reported
-    1-based, not counting the header.
+    The header is parsed as CSV, so names may be quoted. Every data row must
+    have one cell per name, each cell a finite number as Python's float()
+    reads it (surrounding whitespace, "1_000" and "1e-400" included; "nan",
+    "inf" and "1e999" are not finite). A plain numeric body is parsed in one
+    np.loadtxt call; any other body, and every malformed one, is read cell by
+    cell, and only that loop reports errors. Errors name the first offending
+    location; data rows and columns are reported 1-based, not counting the
+    header.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -127,21 +133,67 @@ def load_csv(path) -> TimeSeriesDataset:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"{path}: duplicate column names {dupes}")
         width = len(names)
-        rows: list[list[float]] = []
-        for r, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-            parsed = []
-            for c, cell in enumerate(row, start=1):
-                try:
-                    x = float(cell)
-                except ValueError:
-                    x = math.nan
-                if not math.isfinite(x):
-                    raise ValueError(f"{path}: non-finite value at row {r}, column {c}")
-                parsed.append(x)
-            rows.append(parsed)
-    return TimeSeriesDataset(names=tuple(names), values=np.asarray(rows, dtype=np.float64).reshape(len(rows), width))
+        # the reader has taken exactly the header's lines from fh
+        values = _bulk_body(fh, width)
+        if values is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            values = _checked_body(reader, path, width)
+    return TimeSeriesDataset(names=tuple(names), values=values)
+
+
+# ASCII separator controls: np.loadtxt strips them from a cell's ends as
+# whitespace, float() rejects them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _bulk_body(fh, width: int) -> NDArray[np.float64] | None:
+    """The rest of fh as a finite (lines, width) array from one np.loadtxt call, or None.
+
+    None means the checking loop must decide: the body is empty (loadtxt
+    would warn), has a blank line (loadtxt skips it, the loop rejects it), a
+    separator control, a cell loadtxt cannot parse (such as "1_000" or a
+    quoted number, both of which float() reads), a row of another width or
+    a non-finite value. Where loadtxt parses a cell, it gives float()'s bits.
+    """
+    lines = 0
+
+    def plain_lines():
+        nonlocal lines
+        for lines, line in enumerate(fh, start=1):
+            if line.isspace() or any(c in line for c in _LOADTXT_ONLY_SPACE):
+                raise ValueError("not a plain numeric line")
+            yield line
+        if lines == 0:
+            raise ValueError("no data lines")
+
+    try:
+        X = np.loadtxt(plain_lines(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if X.shape != (lines, width) or not np.isfinite(X).all():
+        return None
+    return X
+
+
+def _checked_body(reader, path, width: int) -> NDArray[np.float64]:
+    """The data rows of a csv reader, each cell checked by float(); raises at the first bad row or cell."""
+    rows: list[list[float]] = []
+    for r, row in enumerate(reader, start=1):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            try:
+                x = float(cell)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise ValueError(f"{path}: non-finite value at row {r}, column {c}")
+            parsed.append(x)
+        rows.append(parsed)
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def save_csv(d: TimeSeriesDataset, path) -> None:

@@ -1,5 +1,9 @@
 """Data ingestion, standardization, and correlation-matrix tests."""
 
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,15 +152,159 @@ def test_correlation_matrix_skips_the_eigen_check(monkeypatch):
 # ---------------------------------------------------------------- csv
 
 
-def test_load_csv_roundtrip(tmp_path):
+def reference_load_csv(path):
+    """load_csv as a cell-by-cell loop over csv.reader, the reference for the bulk parse."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        names = [h.strip() for h in header]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(f"{path}: duplicate column names {dupes}")
+        width = len(names)
+        rows = []
+        for r, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+            parsed = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    x = math.nan
+                if not math.isfinite(x):
+                    raise ValueError(f"{path}: non-finite value at row {r}, column {c}")
+                parsed.append(x)
+            rows.append(parsed)
+    return TimeSeriesDataset(names=tuple(names), values=np.asarray(rows, dtype=np.float64).reshape(len(rows), width))
+
+
+def outcome(load, path):
+    try:
+        d = load(path)
+    except ValueError as e:
+        return "error", str(e)
+    return d.names, d.values.shape, d.values.tobytes()
+
+
+CELLS = {
+    "underscores": "1_000",
+    "spaces": " 1.5 ",
+    "tab": "1.5\t",
+    "plus": "+1.0",
+    "minus-zero": "-0",
+    "leading-point": ".5",
+    "trailing-point": "5.",
+    "capital-exponent": "1E5",
+    "underflow": "1e-400",
+    "arabic-indic-one": "\u0661",
+    "no-break-space": "\xa01",
+    "line-separator": "1\u2028",
+    "file-separator": "\x1c1",
+    "unit-separator": "1\x1f",
+    "nul": "1\x00",
+    "nan": "nan",
+    "inf": "inf",
+    "minus-inf": "-inf",
+    "infinity": "Infinity",
+    "overflow": "1e999",
+    "hex": "0x10",
+    "complex": "1j",
+    "empty": "",
+    "whitespace-only": "   ",
+}
+
+GOOD_ROWS = "\n".join(f"{r}.25,{-r},{r}e-3" for r in range(900))
+
+SHAPES = {
+    "blank-line-mid-body": "a,b,c\n1,2,3\n\n4,5,6\n7,8,9\n",
+    "trailing-blank-line": "a,b,c\n1,2,3\n4,5,6\n7,8,9\n\n",
+    "whitespace-only-line": "a,b,c\n1,2,3\n  \t\n4,5,6\n7,8,9\n",
+    "crlf": "a,b,c\r\n1,2,3\r\n4,5,6\r\n7,8,9\r\n",
+    "crlf-blank-line": "a,b,c\r\n1,2,3\r\n\r\n4,5,6\r\n7,8,9\r\n",
+    "cr-only": "a,b,c\r1,2,3\r4,5,6\r7,8,9\r",
+    "cr-only-blank-line": "a,b,c\r1,2,3\r\r4,5,6\r7,8,9\r",
+    "no-final-newline": "a,b,c\n1,2,3\n4,5,6\n7,8,9",
+    "quoted-numeric-cell": 'a,b,c\n1,"2",3\n4,5,6\n7,8,9\n',
+    "quoted-cell-with-comma": 'a,b,c\n1,"2,5",3\n4,5,6\n7,8,9\n',
+    "quoted-header-with-comma": '"a,x",b,c\n1,2,3\n4,5,6\n7,8,9\n',
+    "quoted-header-with-newline": '"a\nx",b,c\n1,2,3\n4,5,6\n7,8,9\n',
+    "byte-order-mark": "\ufeffa,b,c\n1,2,3\n4,5,6\n7,8,9\n",
+    "header-only": "a,b,c\n",
+    "header-then-blank-line": "a,b,c\n\n",
+    "empty-file": "",
+    "trailing-comma": "a,b,c\n1,2,3,\n4,5,6,\n7,8,9,\n",
+    "every-row-too-long": "a,b\n1,2,3\n4,5,6\n7,8,9\n",
+    "short-row-after-900": f"a,b,c\n{GOOD_ROWS}\n1,2\n",
+    "long-row-after-900": f"a,b,c\n{GOOD_ROWS}\n1,2,3,4\n",
+    "900-good-rows": f"a,b,c\n{GOOD_ROWS}\n",
+}
+
+
+@pytest.mark.parametrize("cell", list(CELLS.values()), ids=list(CELLS))
+def test_load_csv_cell_matches_the_reference_loop(tmp_path, cell):
+    p = tmp_path / "cell.csv"
+    rows = ["a,b,c", "1,2,3", "4,5,6", f"7,{cell},9", "10,11,12"]
+    p.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="")
+    assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+
+@pytest.mark.parametrize("text", list(SHAPES.values()), ids=list(SHAPES))
+def test_load_csv_file_shape_matches_the_reference_loop(tmp_path, text):
+    p = tmp_path / "shape.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+
+@pytest.mark.parametrize("header", ["h0", '"first\nname"'], ids=["plain-header", "two-line-header"])
+def test_load_csv_error_position_after_the_bulk_parse_fails(tmp_path, header):
+    # the loop re-reads from the top, so rows count from the end of the header record
+    names = [header] + [f"h{c}" for c in range(1, 40)]
+    rows = [",".join(f"{r}.{c}" for c in range(40)) for r in range(1, 1001)]
+    rows[899] = ",".join(["1"] * 36 + ["abc"] + ["1"] * 3)  # data row 900, column 37
+    p = tmp_path / "late.csv"
+    p.write_text("\n".join([",".join(names)] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite value at row 900, column 37$"):
+        load_csv(p)
+
+
+def test_load_csv_memory_stays_near_the_file_and_the_array(tmp_path):
+    # room for the parsed array, the dataset's own copy of it and the file's
+    # size, but not for a whole-file string copy or per-cell lists (numpy
+    # reports its buffers to tracemalloc)
+    rng = np.random.default_rng(11)
+    d = make_dataset(rng.normal(size=(2000, 300)))
+    p = tmp_path / "wide.csv"
+    save_csv(d, p)
+    tracemalloc.start()
+    try:
+        back = load_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == d.values.tobytes()
+    assert peak < p.stat().st_size + 2 * d.values.nbytes
+
+
+def test_load_csv_roundtrip(tmp_path, monkeypatch):
+    edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
     rng = np.random.default_rng(1)
-    d = make_dataset(rng.normal(size=(100, 3)), names=["x", "y", "z"])
+    values = np.vstack([edges, np.negative(edges), rng.normal(size=(2000, 5))])
+    d = make_dataset(values, names=["x", "y", "z", "u", "w"])
     p = tmp_path / "d.csv"
     save_csv(d, p)
+
+    def no_loop(*args):
+        raise AssertionError("the checking loop ran")
+
+    monkeypatch.setattr(dataset, "_checked_body", no_loop)  # so a return proves the bulk path
     back = load_csv(p)
-    assert back.names == ("x", "y", "z")
-    assert back.T == 100 and back.N == 3
-    assert np.array_equal(back.values, d.values)
+    assert back.names == ("x", "y", "z", "u", "w")
+    assert back.T == 2002 and back.N == 5
+    assert back.values.tobytes() == d.values.tobytes()
     assert not back.standardized
 
 
