@@ -46,8 +46,10 @@ class TimeSeriesDataset:
             var = vals.var(axis=0, ddof=1)
             if np.max(np.abs(mu)) > 1e-9 or np.max(np.abs(var - 1.0)) > 1e-9:
                 raise ValueError("standardized flag set but columns are not zero-mean unit-variance")
-        vals = vals.copy()
-        vals.flags.writeable = False
+        # an owned, C-ordered, read-only array is kept: nobody can write to it
+        if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
+            vals = vals.copy()
+            vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "names", names)
 
@@ -140,6 +142,7 @@ def load_csv(path) -> TimeSeriesDataset:
             reader = csv.reader(fh)
             next(reader)
             values = _checked_body(reader, path, width)
+    values.flags.writeable = False  # handed over, not copied
     return TimeSeriesDataset(names=tuple(names), values=values)
 
 
@@ -193,7 +196,7 @@ def _checked_body(reader, path, width: int) -> NDArray[np.float64]:
                 raise ValueError(f"{path}: non-finite value at row {r}, column {c}")
             parsed.append(x)
         rows.append(parsed)
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+    return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, width))
 
 
 def save_csv(d: TimeSeriesDataset, path) -> None:
@@ -226,6 +229,7 @@ def standardize(d: TimeSeriesDataset, detrend: bool = False) -> TimeSeriesDatase
     if bad.size:
         raise ValueError(f"near-constant column {d.names[bad[0]]!r}: variance {var[bad[0]]:.3e}")
     X = X / np.sqrt(var)
+    X.flags.writeable = False  # handed over, not copied
     return TimeSeriesDataset(names=d.names, values=X, standardized=True)
 
 

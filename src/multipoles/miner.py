@@ -66,25 +66,33 @@ def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64
 # tracemalloc, the 36 MiB stack itself not counted (147 MiB with vectors).
 _STACK_ROWS = 1 << 15
 
-# A set whose smallest eigenvalue provably exceeds 1 - sigma_threshold by this
-# much fails sigma whatever Jacobi's error (about 1e-14) would make of it.
+# A shifted Cholesky factorization proves that a set fails or reaches sigma by
+# this margin, far more than its rounding, about 2k(k+1) eps <= 1e-12 at k = 64
+# (eps = 2^-53), or Jacobi's error, about 1e-14.
 _SCREEN_MARGIN = 1e-9
 
 
-def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]], cuts: NDArray[np.float64]) -> NDArray[np.float64]:
+def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]], cuts: NDArray[np.float64], reach: float | None = None) -> NDArray[np.float64]:
     """Smallest eigenvalue of the principal submatrix of each same-size member tuple.
 
-    A tuple whose Gershgorin floor 1 - max_i sum_{j != i} |a_ij| (a lower
-    bound on its smallest eigenvalue) is above its entry in cuts is not
-    solved, and its entry is inf. One gather per stack serves the floor and
-    the solve.
+    A tuple with a finite cut whose submatrix minus cut * I factors (see
+    linalg._cholesky_stack) has it above the cut, up to rounding, and gets
+    inf. With reach, a tuple left whose submatrix minus reach * I does not
+    factor has it below reach, up to 1e-12 and rounding, and gets -inf. Only
+    the rest is solved. No kernel is handed an empty stack.
     """
     sel = np.asarray(members, dtype=np.intp)
     lam = np.full(len(members), np.inf)
     for i in range(0, len(members), _STACK_ROWS):
-        sub = _gather(M, sel[i : i + _STACK_ROWS])
-        solve = 2.0 - np.abs(sub).sum(axis=2).max(axis=1) <= cuts[i : i + _STACK_ROWS]
-        lam[i : i + _STACK_ROWS][solve] = linalg.eigh_many(sub[solve], vectors=False)[0][:, 0]
+        sub, cut, out = _gather(M, sel[i : i + _STACK_ROWS]), cuts[i : i + _STACK_ROWS], lam[i : i + _STACK_ROWS]
+        solve = np.isinf(cut)
+        if not solve.all():
+            solve[~solve] = linalg._cholesky_stack(sub[~solve], -cut[~solve])[1] >= 0
+        if reach is not None and solve.any():
+            factors = linalg._cholesky_stack(sub[solve], -reach)[1] < 0
+            out[solve], solve[solve] = np.where(factors, np.inf, -np.inf), factors
+        if solve.any():
+            out[solve] = linalg.eigh_many(sub[solve], vectors=False)[0][:, 0]
     return lam
 
 
@@ -120,15 +128,12 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
 
     A tuple's smallest eigenvalue is read for its sigma and, if it is a child
     of a survivor within the size cap, for that survivor's gain. A tuple read
-    for its sigma alone is not solved (its eigenvalue is inf, see _lambda_min)
-    when it provably fails sigma by _SCREEN_MARGIN, far more than Jacobi's
-    error: when its Gershgorin floor is above 1 - sigma_threshold +
-    _SCREEN_MARGIN, since its smallest eigenvalue is at least the floor; or,
-    on a level above the size cap, when a set one level up that contains it
-    failed sigma by the margin, since by interlacing its smallest eigenvalue
-    is at least that set's. So the records are those of solving every tuple.
-    At sigma_threshold 0 no floor (never above 1) clears the cut and no set
-    fails, so every tuple is solved.
+    for its sigma alone is not solved when a shifted Cholesky factorization
+    proves that it fails sigma by _SCREEN_MARGIN, nor, above the size cap
+    (where nothing else is read), when one proves that it reaches sigma by
+    the margin (see _lambda_min). Their rounding, about 2k(k+1) eps <= 1e-12
+    at k = 64, and Jacobi's error are far below the margin, so every decision
+    and every value in a record is that of solving every tuple.
 
     At most cfg.budget member sets are scored, solved or not: a level
     that would go past it is not, and the records so far (two or more sizes
@@ -146,10 +151,8 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
     # sigma-survivors one level up and their smallest eigenvalues
     up: list[tuple[int, ...]] = []
     up_lam = np.empty(0)
-    # sets one level up that fail sigma by the margin, above the size cap
-    failed: list[tuple[int, ...]] = []
     spent = 0
-    cut = 1.0 - cfg.sigma_threshold + _SCREEN_MARGIN
+    cut, reach = 1.0 - cfg.sigma_threshold + _SCREEN_MARGIN, 1.0 - cfg.sigma_threshold - _SCREEN_MARGIN
     for s in range(max(given, default=2), 1, -1):
         row = {t: i for i, t in enumerate(given.get(s, ()))}
         n_given = len(row)
@@ -164,9 +167,7 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
         cuts = np.full(len(members), cut)
         if s < max_size:  # the survivors one level up are within the size cap
             cuts[children] = np.inf
-        # no solve for a child of a failed set
-        cuts[[j for t in failed for i in range(s + 1) if (j := row.get(t[:i] + t[i + 1 :])) is not None]] = -np.inf
-        lam = _lambda_min(M, members, cuts)
+        lam = _lambda_min(M, members, cuts, reach if s > max_size else None)
         qualifies = np.zeros(len(up), dtype=bool)
         if s < max_size:
             gain = lam[children].min(axis=1) - up_lam
@@ -182,7 +183,6 @@ def _lattice(M: NDArray[np.float64], member_tuples, cfg: MinerConfig, descend: b
         keep = np.nonzero(live & (sig >= cfg.sigma_threshold))[0]
         up = [members[i] for i in keep]
         up_lam = lam[keep]
-        failed = [members[i] for i in np.nonzero(sig < cfg.sigma_threshold - _SCREEN_MARGIN)[0]] if s > max_size else []
     return records, stop
 
 

@@ -423,3 +423,43 @@ def test_is_psd():
     assert lam[1] >= -1e-10  # rank one, eigenvalues {0, 0, 3}
     assert lam[2] == pytest.approx(-0.8)
     assert lam[3] >= -1e-10  # lambda_min = 0
+
+
+def certificate_cases(k):
+    """Seeded correlation matrices of size k, then three near-singular ones:
+    equicorrelated at r = -1/(k-1) (smallest eigenvalue 0), block-diagonal
+    with such a block, and exactly diagonal."""
+    rng = np.random.default_rng(500 + k)
+    mats = random_correlation(rng, 4, k)
+    singular = np.full((k, k), -1.0 / (k - 1))
+    np.fill_diagonal(singular, 1.0)
+    blocks = np.eye(k)
+    h = k // 2
+    blocks[:h, :h] = random_correlation(rng, 1, h)[0]
+    blocks[h:, h:] = singular[: k - h, : k - h] if k - h > 2 else np.array([[1.0, -1.0], [-1.0, 1.0]])
+    mats = np.concatenate([mats, np.stack([singular, blocks, np.eye(k)])])
+    mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+    mats[:, np.arange(k), np.arange(k)] = 1.0
+    return mats
+
+
+@pytest.mark.parametrize("k", [*range(3, 13), 64])
+def test_shifted_cholesky_certifies_each_side_of_the_smallest_eigenvalue(k):
+    # The lattice's sigma screen: if M - c*I factors, Jacobi's smallest
+    # eigenvalue is above c - 1e-12; if it does not, below c + 1e-12. The
+    # differences are exact near the tie, where c + 1e-12 itself would round.
+    # 1e-10 away from the eigenvalue the factorization always decides.
+    outcomes = set()
+    mats = certificate_cases(k)
+    for m, lam in zip(mats, eigh_many(mats, vectors=False)[0][:, 0]):
+        for offset in (1e-13, 1e-12, 1e-10, 1e-9):
+            for c in (lam - offset, lam + offset):
+                factors = linalg._cholesky_stack(m[None], -c)[1][0] < 0
+                if factors:
+                    assert c - lam < 1e-12
+                else:
+                    assert lam - c < 1e-12
+                if offset >= 1e-10:
+                    assert factors == (c < lam)
+                outcomes.add(factors)
+    assert outcomes == {True, False}

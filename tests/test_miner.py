@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multipoles import dataset, graph, linalg, measures, miner
+from multipoles import cli, dataset, graph, linalg, measures, miner
 from multipoles.measures import MultipoleRecord, SignedSet
 from multipoles.miner import (
     MinerConfig,
@@ -175,9 +175,9 @@ def test_extract_does_not_search_below_a_qualifying_set(monkeypatch):
     scored = []
     lambda_min = miner._lambda_min
 
-    def recording(M, members, cuts):
+    def recording(M, members, *screens):
         scored.extend(members)
-        return lambda_min(M, members, cuts)
+        return lambda_min(M, members, *screens)
 
     monkeypatch.setattr(miner, "_lambda_min", recording)
     recs = extract_from_candidate(a, cand(range(5)), cfg)
@@ -492,44 +492,38 @@ def test_no_member_set_is_solved_twice(monkeypatch, search):
     assert max(solved.values()) == 1
 
 
-def gershgorin_floor(A, members):
-    return 1.0 - max(np.abs(A[np.ix_(members, members)]).sum(axis=1) - 1.0)
+def edge_sigmas(max_size, sigma_of):
+    """Sigma thresholds that put a set's smallest eigenvalue at the edges of the screens.
 
-
-def edge_sigmas(A, max_size, sigma_of):
-    """Sigma thresholds that put a set's screen just either side of its cut.
-
-    For the set of each size up to max_size with the highest Gershgorin floor
-    f: 1 - sigma + 1e-9 = f -+ 1e-12, so the floor sits just above or just
-    below the cut. For each floor f that is also a set's smallest eigenvalue:
-    sigma = 1 - f - 1e-12, which that set just clears. For the set of each
-    size above max_size with the median dependence d: sigma - 1e-9 = d -+ 1e-12,
-    so it fails sigma just by or just within the margin below which its
-    children are not solved.
+    sigma_of maps member tuples to their dependence d = 1 - lambda_min. For
+    each size it covers, take the set of the highest dependence (up to
+    max_size) or of the median one (above it). sigma = d - 1e-12 is just
+    reached by that set, and sigma = d + 1e-9 -+ 1e-12 puts its lambda_min
+    just either side of the cut 1 - sigma + 1e-9, above which the fail
+    certificate's factorization succeeds. Above max_size also sigma =
+    d - 1e-9 -+ 1e-12 puts lambda_min just either side of the reach
+    certificate's shift 1 - sigma - 1e-9, and sigma = d -+ 5e-10 puts it
+    inside the band between the two, where only Jacobi decides.
     """
-    n = A.shape[0]
     out = []
-    tight = set()
-    for size in range(3, max_size + 1):
-        floors = {s: gershgorin_floor(A, s) for s in itertools.combinations(range(n), size)}
-        f = max(floors.values())
-        out += [1.0 - f + 1e-9 + 1e-12, 1.0 - f + 1e-9 - 1e-12]
-        tight |= {f for s, f in floors.items() if abs(f - (1.0 - sigma_of[s])) < 1e-12}
-    out += [1.0 - f - 1e-12 for f in sorted(tight)]
-    for size in range(max_size + 1, n):
-        d = float(np.median([sigma_of[s] for s in itertools.combinations(range(n), size)]))
-        out += [d + 1e-9 + 1e-12, d + 1e-9 - 1e-12]
+    for size in sorted({len(s) for s in sigma_of}):
+        ds = sorted(d for s, d in sigma_of.items() if len(s) == size)
+        if size <= max_size:
+            d = ds[-1]
+            out += [d - 1e-12, d + 1e-9 + 1e-12, d + 1e-9 - 1e-12]
+        else:
+            d = ds[len(ds) // 2]
+            out += [d + 1e-9 + 1e-12, d + 1e-9 - 1e-12, d - 1e-9 + 1e-12, d - 1e-9 - 1e-12, d + 5e-10, d - 5e-10]
     return out
 
 
 def test_screened_searches_match_direct_evaluation():
     # Around each screen's threshold every search returns exactly the sets
-    # that measures.linear_dependence / linear_gain qualify. Inside the two
-    # equicorrelated blocks the Gershgorin floor is the smallest eigenvalue,
-    # so a screen that cut too deep would drop sets that clear sigma; and
-    # variable 7 is uncorrelated with the 4-block, so adding it leaves the
-    # block's dependence as it is, and a skip below failed parents that cut
-    # too deep would drop the block.
+    # that measures.linear_dependence / linear_gain qualify. Variable 7 is
+    # uncorrelated with the 4-block, so adding it leaves the block's
+    # dependence as it is: a set above the size cap and its child share their
+    # smallest eigenvalue, and a screen that decided either wrongly would
+    # drop the block.
     rng = np.random.default_rng(76)
     A = np.eye(8) + np.triu(rng.uniform(-0.02, 0.02, (8, 8)), 1)
     A[np.ix_([0, 1, 2], [0, 1, 2])] = equicorrelated(3, -0.4)
@@ -537,12 +531,11 @@ def test_screened_searches_match_direct_evaluation():
     A[3:7, 7] = 0.0
     A = np.triu(A) + np.triu(A, 1).T
     n, max_size, delta = A.shape[0], 4, 0.05
-    assert gershgorin_floor(A, [3, 4, 5, 6]) == pytest.approx(measures.lvnlc(A, [3, 4, 5, 6])[0], abs=1e-15)
     subsets = [s for size in range(3, n + 1) for s in itertools.combinations(range(n), size)]
     sigma_of = {s: measures.linear_dependence(A, s) for s in subsets}
     gain_of = {s: measures.linear_gain(A, s) for s in subsets if len(s) <= max_size}
-    sigmas = edge_sigmas(A, max_size, sigma_of)
-    assert len(sigmas) == 14 and all(0.0 < x < 1.0 for x in sigmas)
+    sigmas = edge_sigmas(max_size, sigma_of)
+    assert len(sigmas) == 30 and all(0.0 < x < 1.0 for x in sigmas)
     found = 0
     for sigma in sigmas:
         cfg = MinerConfig(sigma_threshold=sigma, delta_threshold=delta, max_size=max_size, rho=1.0)
@@ -556,18 +549,101 @@ def test_screened_searches_match_direct_evaluation():
     assert found
 
 
+@pytest.fixture(scope="module")
+def oracle_shaped(tmp_path_factory):
+    """Standardized datasets shaped like the benchmark's oracle inputs: 12
+    variables, T = 500, planted sets of sizes 5 and 5, or 3 and 5, written by
+    multipole synth and read back as mine reads them."""
+    out = {}
+    for sizes in ("5", "3,5"):
+        base = str(tmp_path_factory.mktemp("oracle") / "d")
+        argv = ["synth", "--plant", "2", "--sizes", sizes, "--noise-to", "12", "--T", "500", "--seed", "11", "--out", base]
+        assert cli.main(argv) == 0
+        out[sizes] = dataset.standardize(dataset.load_csv(base + ".csv"))
+    return out
+
+
+def dependences(A, sizes):
+    """Dependence of every subset of the given sizes, one eigh_many stack per size."""
+    out = {}
+    for size in sizes:
+        subsets = list(itertools.combinations(range(A.shape[0]), size))
+        lam = linalg.eigh_many(miner._gather(A, np.asarray(subsets)), vectors=False)[0][:, 0]
+        out.update(zip(subsets, measures._sigma_of(lam)))
+    return out
+
+
+@pytest.mark.parametrize("sizes", ["5", "3,5"])
+def test_screened_lattice_is_the_unscreened_walk_bit_for_bit(monkeypatch, oracle_shaped, sizes):
+    # The unscreened reference sets every cut to inf and drops the reach
+    # certificate, so every tuple is solved. Each search must score the same
+    # tuples in the same order (every survive or skip decision is the same)
+    # and give the same result dicts. The band sigmas leave some set above
+    # the size cap to Jacobi.
+    d = oracle_shaped[sizes]
+    A = dataset.correlation_matrix(d)
+    n, max_size = A.dim, MinerConfig().resolved_max_size()
+    walk = {"screened": True, "scored": [], "above_cap": 0}
+    lambda_min, eigh_many = miner._lambda_min, linalg.eigh_many
+
+    def scoring(M, members, *screens):
+        walk["scored"].append(members)
+        return lambda_min(M, members, *(screens if walk["screened"] else (np.full(len(members), np.inf),)))
+
+    def counting(mats, vectors=True):
+        if walk["screened"] and mats.shape[1] > max_size:
+            walk["above_cap"] += len(mats)
+        return eigh_many(mats, vectors)
+
+    monkeypatch.setattr(miner, "_lambda_min", scoring)
+    monkeypatch.setattr(linalg, "eigh_many", counting)
+    searches = {
+        "mine": lambda cfg: mine(d, cfg),
+        "extract": lambda cfg: extract_from_candidate(A, cand(range(n)), cfg),
+        "brute": lambda cfg: brute_force(A, cfg),
+    }
+    sigmas = [0.5, *edge_sigmas(max_size, dependences(A.entries, (max_size, max_size + 1, n)))]
+    for sigma in sigmas:
+        cfg = MinerConfig(sigma_threshold=sigma, rho=1.0)
+        for name, search in searches.items():
+            walks = []
+            for walk["screened"] in (True, False):
+                walk["scored"] = []
+                walks.append((miner.records_to_dicts(search(cfg)), walk["scored"]))
+            assert walks[0] == walks[1], (name, sigma)
+    assert walk["above_cap"] > 0
+
+
+def test_mine_solves_nothing_above_the_size_cap_on_the_oracle_shape(monkeypatch, oracle_shaped):
+    # At rho = 1 the one candidate is all 12 variables. Every set above the
+    # cap is decided by its Cholesky screens, so Jacobi sees sizes 2..7 only:
+    # 2,896 matrices, where solving the sets above the cap made it 3,711.
+    cfg = MinerConfig(rho=1.0)
+    solved = Counter()
+    eigh_many = linalg.eigh_many
+
+    def counting(mats, vectors=True):
+        solved[mats.shape[1]] += len(mats)
+        return eigh_many(mats, vectors)
+
+    monkeypatch.setattr(linalg, "eigh_many", counting)
+    assert mine(oracle_shaped["5"], cfg)
+    assert max(solved) <= cfg.resolved_max_size()
+    assert sum(solved.values()) <= 2896
+
+
 @pytest.mark.parametrize("search", ["mine", "brute"])
 def test_screen_solves_fewer_sets_than_it_scores(monkeypatch, search):
-    # on white noise most sets are certified to fail sigma by their Gershgorin
-    # floor, and none is solved twice
+    # on white noise most sets are certified to fail sigma by their shifted
+    # Cholesky factorization, and none is solved twice
     data = gaussian_dataset(np.eye(3), T=100, seed=74, extra_noise=9)
     scored = []
     solved = Counter()
     lambda_min, eigh_many = miner._lambda_min, linalg.eigh_many
 
-    def scoring(M, members, cuts):
+    def scoring(M, members, *screens):
         scored.append(len(members))
-        return lambda_min(M, members, cuts)
+        return lambda_min(M, members, *screens)
 
     def counting(mats, vectors=True):
         if not vectors:
