@@ -166,45 +166,47 @@ def _check_pool(pool, k: int | None = None):
     return T
 
 
-def _check_context(d: dataset.TimeSeriesDataset, pool, repeats: int) -> int:
-    """The pool's T, after checking that d has it and that repeats is >= 100."""
+def _check_context(d: dataset.TimeSeriesDataset, pool, repeats: int) -> None:
+    """Checks that d has the pool's T and that repeats is >= 100."""
     if repeats < 100:
         raise ValueError(f"repeats must be >= 100, got {repeats}")
     T = _check_pool(pool)
     if d.T != T:
         raise ValueError(f"context dataset has T={d.T}, pool has T={T}")
-    return T
+
+
+def _pool_columns(pool, windows: NDArray[np.intp], rng) -> NDArray[np.float64]:
+    """C-ordered (n, T, k) stack, [s, :, j] a uniform column of pool[windows[s, j]],
+    one rng.integers call per window; slot by slot, so a gather copies ~n/P columns."""
+    out = np.empty((windows.shape[0], pool[0].T, windows.shape[1]))
+    for w, d in enumerate(pool):
+        s, j = np.nonzero(windows == w)
+        cols = rng.integers(0, d.N, size=s.size)
+        for i in range(out.shape[2]):
+            out[s[j == i], :, i] = d.values.T[cols[j == i]]
+    return out
 
 
 def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed) -> float:
-    """Upper-tail add-one p-value of a dependence value against a random null.
-
-    The null is the linear dependence of `samples` random k-sets, members
-    drawn from k distinct pool datasets, variable uniform within each.
-    p = (1 + #{null sigma >= candidate}) / (samples + 1); small p means the
-    candidate's dependence is rarely matched by chance.
-    """
+    """Upper-tail add-one p-value of a dependence value in [0, 1] against the
+    linear dependence of `samples` random k-sets: k distinct pool windows
+    uniformly at random, then one column uniformly at random in each (one
+    rng.random call ranks the windows of a chunk of 2048 sets, then
+    _pool_columns). p = (1 + #{null sigma >= candidate}) / (samples + 1);
+    small p means the candidate's dependence is rarely matched by chance."""
+    if not 0.0 <= candidate_sigma <= 1.0:  # also False for NaN
+        raise ValueError(f"candidate_sigma must be a finite number in [0, 1], got {candidate_sigma}")
     if k < 2:
         raise ValueError(f"set size must be >= 2, got {k}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    T = _check_pool(pool, k)
+    _check_pool(pool, k)
     rng = np.random.default_rng(seed)
-    P = len(pool)
     count_ge = 0
-    chunk = 2048
-    buf = np.empty((chunk, T, k))
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        for t in range(n):
-            windows = rng.choice(P, size=k, replace=False)
-            for j, w in enumerate(windows):
-                col = int(rng.integers(0, pool[w].N))
-                buf[t, :, j] = pool[w].values[:, col]
-        lam = linalg.eigh_many(dataset._correlations(buf[:n]), vectors=False)[0][:, 0]
+    for done in range(0, samples, 2048):
+        windows = np.argsort(rng.random((min(2048, samples - done), len(pool))), axis=1)[:, :k]
+        lam = linalg.eigh_many(dataset._correlations(_pool_columns(pool, windows, rng)), vectors=False)[0][:, 0]
         count_ge += int((measures._sigma_of(lam) >= candidate_sigma).sum())
-        done += n
     return (1 + count_ge) / (samples + 1)
 
 
@@ -223,10 +225,13 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     """p-value for one member: does replacing it with a random pool series
     reach the original set's dependence as often as not?
 
+    Each of `repeats` replacements is one pool window uniformly at random
+    (one rng.integers call draws them all), then one column uniformly at
+    random in it (_pool_columns).
     p = (1 + #{replaced-set sigma >= original sigma}) / (repeats + 1). A
     small p says the member is essential, not exchangeable with noise.
     """
-    T = _check_context(d, pool, repeats)
+    _check_context(d, pool, repeats)
     members = measures._checked_members(multipole, d.N, 3)
     if member not in members:
         raise ValueError(f"member {member} is not in the set {members}")
@@ -235,29 +240,23 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     X, C0, sigma0 = _members_sigma(d, members)
 
     rng = np.random.default_rng(seed)
-    P = len(pool)
-    fixed = np.delete(X, pos, axis=1)
-    repl = np.empty((T, repeats))
-    for t in range(repeats):
-        w = int(rng.integers(0, P))
-        col = int(rng.integers(0, pool[w].N))
-        repl[:, t] = pool[w].values[:, col]
-    cross = dataset._correlations(fixed, repl)
+    repl = _pool_columns(pool, rng.integers(0, len(pool), size=(repeats, 1)), rng)[:, :, 0].T
+    cross = dataset._correlations(np.delete(X, pos, axis=1), repl)
     mats = np.broadcast_to(C0, (repeats, k, k)).copy()
     other = [i for i in range(k) if i != pos]
     mats[:, other, pos] = cross.T
     mats[:, pos, other] = cross.T
     lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
-    sigmas = measures._sigma_of(lam)
-    count_ge = int((sigmas >= sigma0).sum())
+    count_ge = int((measures._sigma_of(lam) >= sigma0).sum())
     return (1 + count_ge) / (repeats + 1)
 
 
 def _pvalues(d: dataset.TimeSeriesDataset, members, pool, samples: int, repeats: int, seed):
-    """Lazily: the set's sigma on d, significance_sigma's p-value (seeded by
-    child 0 of seed.spawn(1 + k)), then each member's member_contribution
-    p-value (child 1 + i) in sorted member order, all checked before the
-    first. A caller that stops early skips the remaining draws."""
+    """Lazily: the set's sigma on d, significance_sigma's p-value (k distinct
+    windows, one uniform column each; seeded by child 0 of seed.spawn(1 + k)),
+    then each member's member_contribution p-value (one uniform window, one
+    uniform column; child 1 + i) in sorted member order, all checked before
+    the first. A caller that stops early skips the remaining draws."""
     _check_context(d, pool, repeats)
     members = measures._checked_members(members, d.N, 3)
     subs = seed.spawn(1 + len(members))

@@ -358,12 +358,101 @@ def test_null_matrices_are_the_members_matrices_bit_for_bit(monkeypatch):
     monkeypatch.undo()
     mats = np.concatenate(seen)
     assert mats.shape == (samples, k, k)
-    rng = np.random.default_rng(np.random.SeedSequence(111))  # re-draw the columns
-    for C in mats:
-        windows = rng.choice(len(pool), size=k, replace=False)
-        cols = [pool[w].values[:, int(rng.integers(0, pool[w].N))] for w in windows]
-        d = dataset.TimeSeriesDataset(names=tuple("abcd"), values=np.column_stack(cols), standardized=True)
+    # re-draw the columns: rank the windows of the one chunk, then one
+    # integers call per window for its slots in row-major order
+    rng = np.random.default_rng(np.random.SeedSequence(111))
+    windows = np.argsort(rng.random((samples, len(pool))), axis=1)[:, :k]
+    cols = np.empty_like(windows)
+    for w, d in enumerate(pool):
+        hit = windows == w
+        cols[hit] = rng.integers(0, d.N, size=int(hit.sum()))
+    for C, ws, cs in zip(mats, windows, cols):
+        X = np.column_stack([pool[w].values[:, c] for w, c in zip(ws, cs)])
+        d = dataset.TimeSeriesDataset(names=tuple("abcd"), values=X, standardized=True)
         assert C.tobytes() == stats._members_sigma(d, tuple(range(k)))[1].tobytes()
+
+
+def _drawn_columns(monkeypatch, run, pool):
+    # (window, column) of every slot of every stack _pool_columns returns
+    # during run(), each column found by its values in the pool
+    where = {d.values[:, c].tobytes(): (w, c) for w, d in enumerate(pool) for c in range(d.N)}
+    stacks = []
+    draw = stats._pool_columns
+    monkeypatch.setattr(stats, "_pool_columns", lambda *args: stacks.append(draw(*args)) or stacks[-1])
+    run()
+    monkeypatch.undo()
+    return np.array([
+        [where[stack[s, :, j].tobytes()] for j in range(stack.shape[2])]
+        for stack in stacks for s in range(stack.shape[0])
+    ])
+
+
+def test_both_nulls_draw_windows_then_columns_uniformly(monkeypatch):
+    # pool windows of different widths: k distinct windows per null set, one
+    # window per member replacement, a uniform column within each; every
+    # window's share of picks within 5 binomial standard deviations of its
+    # probability, every column of every window drawn
+    T, widths = 40, (4, 7, 11)
+    pool = [
+        dataset.standardize(synth_dataset([], N, T, ss)[0])
+        for N, ss in zip(widths, np.random.SeedSequence(140).spawn(len(widths)))
+    ]
+    P, k, n = len(pool), 2, 3000
+    sets = _drawn_columns(
+        monkeypatch, lambda: significance_sigma(0.5, k, pool, n, np.random.SeedSequence(141)), pool
+    )
+    repl = _drawn_columns(
+        monkeypatch, lambda: member_contribution(pool[2], [0, 1, 2], 0, pool, n, np.random.SeedSequence(142)), pool
+    )
+    assert sets.shape == (n, k, 2) and repl.shape == (n, 1, 2)
+    assert all(len(set(row)) == k for row in sets[:, :, 0].tolist())
+    for picks, share in ((sets, k / P), (repl, 1 / P)):
+        for w, N in enumerate(widths):
+            hits = picks[:, :, 0] == w
+            assert abs(hits.sum() / n - share) <= 5 * np.sqrt(share * (1 - share) / n)
+            assert sorted(set(picks[:, :, 1][hits].tolist())) == list(range(N))
+
+
+class _CountingRng:
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("count", [100, 2048, 5000])
+def test_draw_calls_do_not_grow_with_the_sample_count(monkeypatch, count):
+    # one random call per chunk of 2048 null sets plus one integers call per
+    # pool window; one integers call for the replacement windows plus one
+    # per pool window
+    pool = noise_pool(5, 8, 60, seed=143)
+    P = len(pool)
+    calls = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _CountingRng(make(seed), calls))
+    significance_sigma(0.5, 3, pool, count, np.random.SeedSequence(144))
+    assert len(calls) <= -(-count // 2048) * (1 + P)
+    calls.clear()
+    member_contribution(pool[0], [0, 1, 2], 1, pool, count, np.random.SeedSequence(145))
+    assert len(calls) <= 1 + P
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+def test_significance_rejects_an_undefined_candidate(bad):
+    pool = noise_pool(3, 6, 60, seed=146)
+    with pytest.raises(ValueError, match="candidate_sigma"):
+        significance_sigma(bad, 3, pool, 10, np.random.SeedSequence(147))
+    assert significance_sigma(0.0, 3, pool, 10, np.random.SeedSequence(147)) == 1.0
+    assert 0.0 < significance_sigma(1.0, 3, pool, 10, np.random.SeedSequence(147)) <= 1.0
 
 
 def test_significance_pool_too_small():
