@@ -14,7 +14,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .dataset import CorrelationMatrix, TimeSeriesDataset, correlation_matrix, load_csv, standardize
-from .linalg import NotPositiveDefiniteError, cholesky
 from .measures import (
     CanonicalForm,
     MultipoleRecord,
@@ -44,8 +43,6 @@ __all__ = [
     "load_csv",
     "standardize",
     "correlation_matrix",
-    "NotPositiveDefiniteError",
-    "cholesky",
     "SignedSet",
     "CanonicalForm",
     "MultipoleRecord",

@@ -86,10 +86,9 @@ class CorrelationMatrix:
         if np.max(np.abs(np.diag(M) - 1.0), initial=0.0) > 1e-12:
             raise ValueError("diagonal entries must lie within 1e-12 of 1")
         np.fill_diagonal(M, 1.0)
-        try:
-            linalg.cholesky(M + 1e-9 * np.eye(M.shape[0]))
-        except linalg.NotPositiveDefiniteError as e:
-            raise ValueError(f"matrix is not PSD within 1e-9: pivot {e.pivot_index} of M + 1e-9*I is {e.pivot:.3e}") from None
+        _, index, pivot = linalg._cholesky_stack(M[None], 1e-9)
+        if index[0] >= 0:
+            raise ValueError(f"matrix is not PSD within 1e-9: pivot {index[0]} of M + 1e-9*I is {pivot[0]:.3e}")
         M.flags.writeable = False
         object.__setattr__(self, "entries", M)
 

@@ -31,21 +31,6 @@ _OFF_TOL = 1e-13  # off-diagonal Frobenius norm at convergence
 _SYM_TOL = 1e-9  # largest |A - A^T| entry _as_square accepts
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Raised by :func:`cholesky` when a pivot is not positive.
-
-    ``pivot_index`` is the zero-based row whose pivot failed, ``pivot`` the
-    offending value.
-    """
-
-    def __init__(self, pivot_index: int, pivot: float):
-        super().__init__(
-            f"matrix is not positive definite: pivot {pivot_index} is {pivot:.6e} (<= 1e-12)"
-        )
-        self.pivot_index = pivot_index
-        self.pivot = pivot
-
-
 def _as_square(A) -> NDArray[np.float64]:
     """Validate and symmetrize the input; accepts anything with ``.entries``."""
     M = np.asarray(getattr(A, "entries", A), dtype=np.float64)
@@ -235,11 +220,3 @@ def _cholesky_stack(M: NDArray[np.float64], shift: float | NDArray[np.float64] =
         L[:, j + 1 :, j] = np.where(ok[:, None], col, 0.0)
     return L, index, failed
 
-
-def cholesky(A) -> NDArray[np.float64]:
-    """Lower-triangular L with A = L L^T, for strictly positive definite A;
-    raises :class:`NotPositiveDefiniteError` at the first pivot <= 1e-12."""
-    L, index, pivot = _cholesky_stack(_as_square(A)[None])
-    if index[0] >= 0:
-        raise NotPositiveDefiniteError(int(index[0]), float(pivot[0]))
-    return L[0]

@@ -95,11 +95,6 @@ class MultipoleRecord:
         return self.signed.size
 
 
-def _entries(A) -> NDArray[np.float64]:
-    M = getattr(A, "entries", A)
-    return np.asarray(M, dtype=np.float64)
-
-
 def _checked_members(subset, n: int, min_size: int) -> tuple[int, ...]:
     """Sorted member indices: at least min_size of them, distinct, each in [0, n)."""
     idx = tuple(sorted(int(i) for i in subset))
@@ -114,7 +109,7 @@ def _checked_members(subset, n: int, min_size: int) -> tuple[int, ...]:
 
 def _checked_subset(A, subset, min_size: int) -> tuple[NDArray[np.float64], tuple[int, ...]]:
     """Validated principal submatrix of the subset, and its sorted members."""
-    M = _entries(A)
+    M = np.asarray(getattr(A, "entries", A), dtype=np.float64)
     idx = _checked_members(subset, M.shape[0], min_size)
     ix = np.asarray(idx, dtype=np.intp)
     return linalg._as_square(M[np.ix_(ix, ix)]), idx

@@ -345,7 +345,7 @@ def records_to_dicts(records, names=None) -> list[dict]:
 
 def write_dicts_json(dicts, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dicts, fh, indent=2)
+        json.dump(dicts, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -383,7 +383,7 @@ def write_records_csv(records, names, path) -> None:
 
 def read_records_json(path) -> list[dict]:
     """Entries of a result file; each names 3 or more distinct members, and the
-    keys merge sorts and writes, where present, hold numbers or lists."""
+    keys merge sorts and writes, where present, hold finite numbers or lists."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -400,6 +400,8 @@ def read_records_json(path) -> list[dict]:
         for key in ("linear_gain", "linear_dependence"):
             if key in d and (isinstance(d[key], bool) or not isinstance(d[key], (int, float))):
                 raise ValueError(f"{path}: entry {i} has a non-numeric {key!r}")
+            if isinstance(d.get(key), float) and not math.isfinite(d[key]):  # json reads NaN and Infinity
+                raise ValueError(f"{path}: entry {i} has a non-finite {key!r}")
         for key in ("signs", "weights"):
             if key in d and not isinstance(d[key], list):
                 raise ValueError(f"{path}: entry {i} has a {key!r} that is not a list")

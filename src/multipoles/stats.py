@@ -89,6 +89,9 @@ def sample_planted_matrices(
     """
     if not (3 <= k <= 8):
         raise ValueError(f"planted matrices need k in [3, 8], got {k}")
+    for name, value in (("dependence_min", dependence_min), ("gain_min", gain_min), ("rho_max", rho_max)):
+        if np.isnan(value):  # every comparison with NaN is false: no proposal would be kept
+            raise ValueError(f"{name} must not be NaN")
     jit = 0.1 / (k - 1)
 
     def propose(rng, shape):
@@ -119,21 +122,21 @@ def synth_dataset(planted, noise_count: int, T: int, seed):
     appended; the column order is then shuffled. Returns the unstandardized
     dataset and the planted member index lists in shuffled coordinates.
     """
-    mats = [measures._entries(p) for p in planted]
+    mats = [linalg._as_square(p) for p in planted]
     if noise_count < 0:
         raise ValueError("noise_count must be >= 0")
     max_k = max((m.shape[0] for m in mats), default=0)
     if T < max(3, 50 * max_k):
         raise ValueError(f"T={T} too short: need at least {max(3, 50 * max_k)}")
     for i, m in enumerate(mats):
-        try:  # certifies lambda_min > 1e-6, up to about 1e-12 of rounding
-            linalg.cholesky(m - 1e-6 * np.eye(m.shape[0]))
-        except linalg.NotPositiveDefiniteError as e:
-            raise ValueError(f"planted matrix {i} is not strictly positive definite (lambda_min <= 1e-6): pivot {e.pivot_index} of m - 1e-6*I is {e.pivot:.3e}") from None
+        # certifies lambda_min > 1e-6, up to about 1e-12 of rounding
+        _, index, pivot = linalg._cholesky_stack(m[None], -1e-6)
+        if index[0] >= 0:
+            raise ValueError(f"planted matrix {i} is not strictly positive definite (lambda_min <= 1e-6): pivot {index[0]} of m - 1e-6*I is {pivot[0]:.3e}")
     rng = np.random.default_rng(seed)
     blocks = []
     for m in mats:
-        L = linalg.cholesky(m)
+        L = linalg._cholesky_stack(m[None])[0][0]
         X = rng.standard_normal((T, m.shape[0]))
         blocks.append(X @ L.T)
     if noise_count:

@@ -168,6 +168,17 @@ def test_merge_rejects_malformed_members(tmp_path, capsys):
         assert "entry 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["linear_gain", "linear_dependence"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_merge_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    # Python's json reads these tokens, but they are not JSON and would be written back
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'[{{"members": ["a", "b", "c"]}}, {{"members": ["d", "e", "f"], "{key}": {value}}}]')
+    assert run(["merge", "--inputs", bad, "--out", tmp_path / "merged.json"]) == 2
+    assert f"entry 1 has a non-finite '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "merged.json").exists()
+
+
 def test_merge_accepts_members_only_entries(tmp_path):
     src = tmp_path / "bare.json"
     src.write_text(json.dumps([{"members": ["a", "b", "c"]}]))
@@ -255,9 +266,11 @@ def test_synth_rejects_a_repeated_size(tmp_path, capsys, monkeypatch, sizes):
 
 def test_synth_unreachable_thresholds_exit_2(tmp_path, capsys):
     # no k=3 matrix has gain above 1/(k-1) = 0.5: the planted sampler gives up;
-    # a size above 8 is refused before any proposal
+    # a size above 8 and a NaN threshold are refused before any proposal
     for options, message in ((["--sizes", "3", "--plant-gain", "0.6"], "no k=3 planted matrix"),
-                             (["--sizes", "9"], "sizes must contain integers in [3, 8]")):
+                             (["--sizes", "9"], "sizes must contain integers in [3, 8]"),
+                             (["--sizes", "3", "--plant-gain", "nan"], "gain_min must not be NaN"),
+                             (["--sizes", "3", "--plant-rho", "nan"], "rho_max must not be NaN")):
         assert run(["synth", "--plant", "1", *options, "--noise-to", "10",
                     "--T", "500", "--out", tmp_path / "x"]) == 2
         assert message in capsys.readouterr().err

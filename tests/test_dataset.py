@@ -137,6 +137,22 @@ def test_psd_boundary_is_minus_1e_9(n, lam, ok):
             CorrelationMatrix(entries=a)
 
 
+@pytest.mark.parametrize(
+    "lam, error",
+    [(-2e-9, "matrix is not PSD within 1e-9: pivot 2 of M + 1e-9*I is -3.000e-09"), (-5e-10, None)],
+)
+def test_psd_certificate_decides_an_equicorrelated_triple(lam, error):
+    # equicorrelated k=3 has lambda_min = 1 + 2r; its last pivot carries the sign
+    a = np.full((3, 3), (lam - 1.0) / 2.0)
+    np.fill_diagonal(a, 1.0)
+    if error is None:
+        assert CorrelationMatrix(entries=a).entries.tobytes() == a.tobytes()
+    else:
+        with pytest.raises(ValueError) as exc:
+            CorrelationMatrix(entries=a)
+        assert str(exc.value) == error
+
+
 @pytest.mark.parametrize("asym, ok", [(1e-10, True), (1e-8, False)])
 def test_symmetry_tolerance_is_1e_9(asym, ok):
     a = with_lambda_min(5, 0.2, seed=9)
@@ -154,7 +170,7 @@ def test_correlation_matrix_skips_the_eigen_check(monkeypatch):
     # eigensolve nor the Cholesky certificate runs
     calls = []
     monkeypatch.setattr(linalg, "eigh_many", lambda *args, **kwargs: calls.append(args))
-    monkeypatch.setattr(linalg, "cholesky", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(linalg, "_cholesky_stack", lambda *args, **kwargs: calls.append(args))
     raw = np.random.default_rng(5).normal(size=(50, 6))
     A = correlation_matrix(standardize(make_dataset(raw)))
     assert calls == []

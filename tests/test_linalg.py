@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multipoles import linalg
-from multipoles.linalg import NotPositiveDefiniteError, cholesky, eigh_many
+from multipoles.linalg import eigh_many
 from multipoles.measures import lvnlc
 
 
@@ -305,7 +305,7 @@ def test_eigh_many_empty_stack():
 def test_cholesky_matches_numpy():
     rng = np.random.default_rng(21)
     a = random_correlation(rng, 1, 5)[0]
-    ell = cholesky(a)
+    ell = linalg._cholesky_stack(linalg._as_square(a)[None])[0][0]
     assert np.max(np.abs(ell @ ell.T - a)) < 1e-10
     assert np.allclose(ell, np.tril(ell))
 
@@ -315,7 +315,7 @@ def test_cholesky_has_no_size_cap():
     rng = np.random.default_rng(22)
     g = rng.normal(size=(100, 300))
     a = g @ g.T / 300.0
-    ell = cholesky(a)
+    ell = linalg._cholesky_stack(linalg._as_square(a)[None])[0][0]
     assert ell.shape == (100, 100)
     assert np.max(np.abs(ell @ ell.T - a)) < 1e-10
     assert np.array_equal(ell, np.tril(ell))
@@ -323,32 +323,29 @@ def test_cholesky_has_no_size_cap():
 
 def test_cholesky_two_by_two_closed_form():
     a = np.array([[1.0, 0.5], [0.5, 1.0]])
-    ell = cholesky(a)
+    ell = linalg._cholesky_stack(a[None])[0][0]
     assert np.allclose(ell, [[1.0, 0.0], [0.5, np.sqrt(0.75)]], atol=1e-12)
 
 
 def test_cholesky_identity():
-    assert np.array_equal(cholesky(np.eye(3)), np.eye(3))
+    assert np.array_equal(linalg._cholesky_stack(np.eye(3)[None])[0][0], np.eye(3))
 
 
 def test_cholesky_rejects_singular_equicorrelated():
     a = np.full((3, 3), -0.5)
     np.fill_diagonal(a, 1.0)  # lambda_min = 1 + 2r = 0
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky(a)
+    assert linalg._cholesky_stack(a[None])[1][0] >= 0
 
 
 def test_cholesky_rejects_indefinite():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        cholesky(a)
-    assert exc.value.pivot_index == 1
+    index = linalg._cholesky_stack(a[None])[1]
+    assert index[0] == 1
 
 
 def test_cholesky_rejects_singular():
     a = np.ones((3, 3))
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky(a)
+    assert linalg._cholesky_stack(a[None])[1][0] >= 0
 
 
 def one_matrix_cholesky(a):
@@ -371,7 +368,7 @@ def test_cholesky_bits_match_the_one_matrix_loop(k):
     rng = np.random.default_rng(1000 + k)
     for _ in range(20 if k < 64 else 3):
         a = np.corrcoef(rng.normal(size=(k, 2 * k + 3)))
-        assert cholesky(a).tobytes() == one_matrix_cholesky(a).tobytes()
+        assert linalg._cholesky_stack(linalg._as_square(a)[None])[0][0].tobytes() == one_matrix_cholesky(a).tobytes()
 
 
 @pytest.mark.parametrize("k", [3, 7, 20])
@@ -402,9 +399,9 @@ def test_cholesky_stack_reports_each_failure_without_warnings():
         big = linalg._cholesky_stack(huge[None])
     assert index.tolist() == [-1, 2, 1, 0]
     assert np.isnan(pivot[0]) and abs(pivot[1]) < 1e-15 and pivot[2] == -3.0 and pivot[3] == -1.0
-    assert ell[0].tobytes() == cholesky(good).tobytes()
+    assert ell[0].tobytes() == one_matrix_cholesky(good).tobytes()
     # a failed matrix keeps its columns before the failing pivot and zeros from it on
-    assert ell[1][:2, :2].tobytes() == cholesky(eq[:2, :2]).tobytes()
+    assert ell[1][:2, :2].tobytes() == one_matrix_cholesky(eq[:2, :2]).tobytes()
     assert not ell[1][:, 2:].any() and not ell[2][:, 1:].any() and not ell[3].any()
     assert ell[2][:, 0].tolist() == [1.0, 2.0, 0.0]
     assert big[1][0] == 2 and np.all(np.isfinite(big[0]))

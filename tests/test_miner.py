@@ -807,6 +807,12 @@ def test_records_csv_has_one_row_per_record(tmp_path):
     assert len(lines) == 1 + len(recs)
 
 
+def test_records_json_refuses_non_finite_numbers(tmp_path):
+    # json.dump would write NaN, which is not JSON
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        miner.write_dicts_json([{"members": ["a", "b", "c"], "linear_gain": float("nan")}], tmp_path / "out.json")
+
+
 def test_merge_by_names_blocks_subsets():
     rows = [
         {"members": ["a", "b", "c"], "signs": [1, 1, -1],

@@ -1,5 +1,7 @@
 """Tests for matrix sampling, synthetic data generation, and significance."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -236,14 +238,26 @@ def test_synth_rejects_singular_planted():
 
 @pytest.mark.parametrize("lam, ok", [(0.0, False), (5e-7, False), (2e-6, True)])
 def test_synth_planted_margin_is_1e_6(lam, ok):
-    # equicorrelated k=3 has lambda_min = 1 + 2r
+    # equicorrelated k=3 has lambda_min = 1 + 2r; its last pivot carries the sign
     mat = equicorrelated(3, (lam - 1.0) / 2.0)
     if ok:
         d, truth = synth_dataset([mat], 5, 500, np.random.SeedSequence(93))
         assert d.N == 8 and len(truth[0]) == 3
     else:
-        with pytest.raises(ValueError, match="planted matrix 0"):
+        with pytest.raises(ValueError) as exc:
             synth_dataset([mat], 5, 500, np.random.SeedSequence(93))
+        pivot = {0.0: "-3.000e-06", 5e-7: "-1.500e-06"}[lam]
+        assert str(exc.value) == (
+            "planted matrix 0 is not strictly positive definite (lambda_min <= 1e-6): "
+            f"pivot 2 of m - 1e-6*I is {pivot}"
+        )
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1), (3,), ()])
+def test_synth_rejects_a_non_square_planted_block(shape):
+    # a (3, 1) column must not be broadcast against the identity into a 3 x 3 block
+    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        synth_dataset([np.full(shape, 0.5)], 5, 500, np.random.SeedSequence(93))
 
 
 def test_synth_rejects_short_series():
@@ -306,6 +320,16 @@ def test_planted_matrices_unreachable_thresholds_raise(thresholds):
     # no PSD matrix has a gain above 1/(k-1), nor rho_s below -1/(k-1) (its mean off-diagonal)
     with pytest.raises(ValueError, match=r"no k=3 planted matrix .* in 32768 consecutive proposals"):
         sample_planted_matrices(3, 1, np.random.SeedSequence(94), **thresholds)
+
+
+@pytest.mark.parametrize("name", ["dependence_min", "gain_min", "rho_max"])
+def test_planted_matrices_nan_threshold_raises_before_any_proposal(monkeypatch, name):
+    calls = []
+    study = measures._study_stack
+    monkeypatch.setattr(measures, "_study_stack", lambda mats: calls.append(len(mats)) or study(mats))
+    with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+        sample_planted_matrices(3, 1, np.random.SeedSequence(94), **{name: float("nan")})
+    assert calls == []
 
 
 def test_sampler_gives_up_where_its_first_batches_keep_nothing():
