@@ -76,7 +76,7 @@ def _load_standardized(path: str, detrend: bool) -> dataset.TimeSeriesDataset:
 
 def cmd_search(args, base: str):
     """mine, brute and random: one input, the thresholds, one search, records out."""
-    cfg = miner.MinerConfig(sigma_threshold=args.sigma, delta_threshold=args.delta, rho=getattr(args, "rho", 0.0), max_size=args.max_size, budget=args.budget)
+    cfg = miner.MinerConfig(sigma_threshold=args.sigma, delta_threshold=args.delta, rho=getattr(args, "rho", miner.MinerConfig.rho), max_size=args.max_size, budget=args.budget)
     args.max_size = cfg.resolved_max_size()
     d = _load_standardized(args.input, args.detrend)
     stop = None
@@ -142,28 +142,21 @@ def cmd_synth(args, base: str):
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise ValueError(f"sizes must be a comma list of integers, got {args.sizes!r}")
-    if not sizes or any(not 3 <= s <= 8 for s in sizes):
-        raise ValueError("sizes must contain integers in [3, 8]")
+    if not sizes or any(s not in stats._PLANT_SIZES for s in sizes):
+        raise ValueError(f"sizes must contain integers in [{stats._PLANT_SIZES[0]}, {stats._PLANT_SIZES[-1]}]")
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"sizes must be distinct, got {args.sizes!r}")
     args.sizes = sizes
     if args.plant < 0:
         raise ValueError("plant must be >= 0")
-    if not (0.0 < args.plant_sigma < 1.0):
-        raise ValueError("plant-sigma must be in (0,1)")
-    root = np.random.SeedSequence(args.seed)
     per_size = {s: args.plant // len(sizes) + (1 if i < args.plant % len(sizes) else 0) for i, s in enumerate(sizes)}
-    seeds = root.spawn(len(sizes) + 1)
-    planted = []
-    for (s, n), ss in zip(per_size.items(), seeds[:-1]):
-        planted.extend(
-            stats.sample_planted_matrices(
-                s, n, ss, dependence_min=args.plant_sigma, gain_min=args.plant_gain, rho_max=args.plant_rho
-            )
-        )
-    total_members = sum(m.dim for m in planted)
+    total_members = sum(s * n for s, n in per_size.items())
     if args.noise_to < max(2, total_members):
         raise ValueError(f"noise-to must be at least max(2, planted member count {total_members})")
+    seeds = np.random.SeedSequence(args.seed).spawn(len(sizes) + 1)
+    planted = []
+    for (s, n), ss in zip(per_size.items(), seeds[:-1]):
+        planted.extend(stats.sample_planted_matrices(s, n, ss))
     d, truth = stats.synth_dataset(planted, args.noise_to - total_members, args.T, seeds[-1])
     csv_path = base + ".csv"
     truth_path = base + ".truth.json"
@@ -205,8 +198,8 @@ def cmd_signif(args, base: str):
 
 def _add_search_flags(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="input CSV of time series (header row of names)")
-    p.add_argument("--sigma", type=float, default=0.5, help="linear dependence threshold, in [0,1]")
-    p.add_argument("--delta", type=float, default=0.15, help="linear gain threshold, in (0,1]")
+    p.add_argument("--sigma", type=float, default=miner.MinerConfig.sigma_threshold, help="linear dependence threshold, in [0,1]")
+    p.add_argument("--delta", type=float, default=miner.MinerConfig.delta_threshold, help="linear gain threshold, in (0,1]")
     p.add_argument("--max-size", type=int, default=None, help="largest set size, >= 3 (default: derived from delta)")
     p.add_argument("--detrend", action="store_true", help="subtract least-squares linear trends before standardizing")
     p.add_argument("--budget", type=int, default=miner.MinerConfig.budget, help="work cap per search stage: cliques, lattice sets, brute subsets; >= 1")
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine maximal multipoles from a CSV dataset", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_search_flags(p)
-    p.add_argument("--rho", type=float, default=0.0, help="graph correlation threshold, in [-1,1]")
+    p.add_argument("--rho", type=float, default=miner.MinerConfig.rho, help="graph correlation threshold, in [-1,1]")
 
     p = sub.add_parser("brute", help="exhaustive subset search (oracle)", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_search_flags(p)
@@ -253,13 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted multipoles", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--plant", type=int, required=True, help="number of planted sets, >= 0")
-    p.add_argument("--sizes", default="3,4,5", help="comma list of distinct planted set sizes, each in [3, 8]")
+    p.add_argument("--sizes", default="3,4,5", help=f"comma list of distinct planted set sizes, each in [{stats._PLANT_SIZES[0]}, {stats._PLANT_SIZES[-1]}]")
     p.add_argument("--noise-to", type=int, required=True, help="total variable count after noise padding")
     p.add_argument("--T", type=int, required=True, help="rows (timestamps), >= 50 * largest size")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--plant-sigma", type=float, default=0.75, help="minimum dependence of planted sets, in (0,1)")
-    p.add_argument("--plant-gain", type=float, default=0.15, help="minimum gain of planted sets")
-    p.add_argument("--plant-rho", type=float, default=-0.2, help="maximum self-canceling correlation of planted sets")
     p.add_argument("--out", required=True, help="output base path; writes .csv, .truth.json, .manifest.json")
     p.set_defaults(func=cmd_synth)
 

@@ -4,8 +4,9 @@ permutation-style significance testing.
 Both matrix samplers draw through one loop, _draw_stack, and differ only in
 their proposal and keep test: uniform PSD matrices (_accepted_stack, k in
 [2, 8]) and planted near-equicorrelated ones (sample_planted_matrices, k in
-[3, 8]). Batches have a fixed size, so output is a deterministic function of
-the seed and a shorter run is a prefix of a longer one.
+[3, 5], the only sizes its fixed thresholds admit). Batches have a fixed
+size, so output is a deterministic function of the seed and a shorter run is
+a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from . import dataset, linalg, measures
 _DRAW_BATCH = 8192  # uniform draws per batch
 _PLANT_BATCH = 512  # planted proposals per batch
 _PSD_TOL = 1e-10
+# A planted block is kept iff lambda_min, dependence, gain and rho_s clear these.
 _PLANT_LAMBDA_FLOOR = 1e-4
+_PLANT_DEPENDENCE_MIN = 0.75
+_PLANT_GAIN_MIN = 0.15
+_PLANT_RHO_MAX = -0.2
+_PLANT_SIZES = range(3, 6)  # no k >= 6 block meets them: see sample_planted_matrices
 _GIVE_UP_BATCHES = 64  # a sampler whose first this many batches keep nothing raises
 
 
@@ -63,35 +69,29 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
     )
 
 
-def sample_planted_matrices(
-    k: int,
-    count: int,
-    seed,
-    dependence_min: float = 0.75,
-    gain_min: float = 0.15,
-    rho_max: float = -0.2,
-) -> list[dataset.CorrelationMatrix]:
+def sample_planted_matrices(k: int, count: int, seed) -> list[dataset.CorrelationMatrix]:
     """Correlation matrices suitable as planted ground truth.
 
     Proposes near-equicorrelated matrices close to the extremal geometry
     r = -1/(k-1) (shrunk toward zero by a small uniform factor, then
-    entrywise jittered) and keeps those with dependence >= dependence_min,
-    gain >= gain_min, every self-canceling correlation <= rho_max, and
-    smallest eigenvalue >= 1e-4. The margins matter: a planted set is
-    recoverable from finite data only if sampling noise cannot push its
-    dependence or gain under the mining thresholds, nor any pairwise
-    correlation across the graph-construction threshold. Uniform PSD draws
-    conditioned on dependence and gain alone are mostly near-zero pairwise
-    correlations, which no graph at moderately negative rho can recover.
+    entrywise jittered) and keeps those with dependence >= 0.75, gain >=
+    0.15, every self-canceling correlation <= -0.2, and smallest eigenvalue
+    >= 1e-4. The margins matter: a planted set is recoverable from finite
+    data only if sampling noise cannot push its dependence or gain under the
+    mining thresholds, nor any pairwise correlation across the
+    graph-construction threshold. Uniform PSD draws conditioned on
+    dependence and gain alone are mostly near-zero pairwise correlations,
+    which no graph at moderately negative rho can recover.
 
-    k lies in [3, 8]. Thresholds that the first 64 batches of 512 proposals
-    all miss are out of reach and raise ValueError (k = 6-8 at the defaults).
+    k lies in [3, 5]; any other k raises ValueError before the first
+    proposal. No k >= 6 block can be kept: with S the sign flips, S M S has
+    a unit diagonal and 1'(S M S)1 >= k lambda_min, so rho_s, its largest
+    off-diagonal, is at least its mean off-diagonal, which is at least
+    -(1 - lambda_min)/(k - 1) >= -0.9999/(k - 1) > -0.2 for k >= 6 (by
+    2e-5 at k = 6, far above the eigensolver's rounding of about 1e-14).
     """
-    if not (3 <= k <= 8):
-        raise ValueError(f"planted matrices need k in [3, 8], got {k}")
-    for name, value in (("dependence_min", dependence_min), ("gain_min", gain_min), ("rho_max", rho_max)):
-        if np.isnan(value):  # every comparison with NaN is false: no proposal would be kept
-            raise ValueError(f"{name} must not be NaN")
+    if k not in _PLANT_SIZES:
+        raise ValueError(f"planted matrices need k in [{_PLANT_SIZES[0]}, {_PLANT_SIZES[-1]}], got {k}")
     jit = 0.1 / (k - 1)
 
     def propose(rng, shape):
@@ -102,15 +102,14 @@ def sample_planted_matrices(
         study = measures._study_stack(mats)
         return (
             (study.lambda_min >= _PLANT_LAMBDA_FLOOR)
-            & (1.0 - study.lambda_min >= dependence_min)
-            & (study.gain >= gain_min)
-            & (study.rho_s <= rho_max)
+            & (1.0 - study.lambda_min >= _PLANT_DEPENDENCE_MIN)
+            & (study.gain >= _PLANT_GAIN_MIN)
+            & (study.rho_s <= _PLANT_RHO_MAX)
         )
 
     return [dataset.CorrelationMatrix(entries=m) for m in _draw_stack(
         k, count, seed, _PLANT_BATCH, propose, keep,
-        f"no k={k} planted matrix with dependence >= {dependence_min}, gain >= {gain_min} "
-        f"and rho_s <= {rho_max} in {_GIVE_UP_BATCHES * _PLANT_BATCH} consecutive proposals",
+        f"no k={k} planted matrix in {_GIVE_UP_BATCHES * _PLANT_BATCH} consecutive proposals",
     )]
 
 

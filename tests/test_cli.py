@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from multipoles import bounds, dataset, stats
+from multipoles import bounds, dataset, miner, stats
 from multipoles.cli import build_parser, main
 
 
@@ -248,9 +248,14 @@ def test_synth_emits_dataset_and_truth(tmp_path):
         assert set(group) <= name_set
 
 
-def test_synth_noise_to_must_cover_planted(tmp_path):
+def test_synth_noise_to_must_cover_planted(tmp_path, capsys, monkeypatch):
+    # the member count is known from the shares: refused before any block is drawn
+    draws = []
+    monkeypatch.setattr(stats, "sample_planted_matrices", lambda *a, **kw: draws.append(a) or [])
     assert run(["synth", "--plant", "4", "--sizes", "5", "--noise-to", "10",
                 "--T", "300", "--out", tmp_path / "x.csv"]) == 2
+    assert "noise-to must be at least max(2, planted member count 20)" in capsys.readouterr().err
+    assert draws == [] and not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("sizes", ["3,3", "3,4,3"])
@@ -264,17 +269,21 @@ def test_synth_rejects_a_repeated_size(tmp_path, capsys, monkeypatch, sizes):
     assert draws == [] and not (tmp_path / "x.csv").exists()
 
 
-def test_synth_unreachable_thresholds_exit_2(tmp_path, capsys):
-    # no k=3 matrix has gain above 1/(k-1) = 0.5: the planted sampler gives up;
-    # a size above 8 and a NaN threshold are refused before any proposal
-    for options, message in ((["--sizes", "3", "--plant-gain", "0.6"], "no k=3 planted matrix"),
-                             (["--sizes", "9"], "sizes must contain integers in [3, 8]"),
-                             (["--sizes", "3", "--plant-gain", "nan"], "gain_min must not be NaN"),
-                             (["--sizes", "3", "--plant-rho", "nan"], "rho_max must not be NaN")):
-        assert run(["synth", "--plant", "1", *options, "--noise-to", "10",
+def test_synth_unreachable_thresholds_exit_2(tmp_path, capsys, monkeypatch):
+    # no block of size 6 or more meets the planted thresholds (stats.sample_planted_matrices):
+    # such a size is refused before any block is drawn, also when its share of --plant is 0
+    draws = []
+    monkeypatch.setattr(stats, "sample_planted_matrices", lambda *a, **kw: draws.append(a) or [])
+    for plant, sizes in (("1", "6"), ("1", "7"), ("1", "8"), ("1", "9"), ("1", "3,6"), ("0", "6")):
+        assert run(["synth", "--plant", plant, "--sizes", sizes, "--noise-to", "10",
                     "--T", "500", "--out", tmp_path / "x"]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        assert "sizes must contain integers in [3, 5]" in capsys.readouterr().err
+        assert draws == [] and not (tmp_path / "x.csv").exists()
+    for flag in ("--plant-sigma", "--plant-gain", "--plant-rho"):
+        with pytest.raises(SystemExit):
+            run(["synth", "--plant", "1", "--sizes", "3", flag, "0.5", "--noise-to", "10",
+                 "--T", "500", "--out", tmp_path / "x"])
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 def test_signif_end_to_end(tmp_path, planted_csv):
@@ -398,6 +407,16 @@ def test_every_manifest_records_every_flag(tmp_path, planted_csv):
         assert manifest["inputs"] == [str(p) for p in inputs]
         if resolved:
             assert manifest["config"][resolved[0]] == resolved[1]
+
+
+def test_search_defaults_are_the_miner_config_defaults():
+    # one place for the thresholds: a flag left out gives MinerConfig's value
+    fields = {"sigma": "sigma_threshold", "delta": "delta_threshold", "rho": "rho", "max_size": "max_size", "budget": "budget"}
+    for command, extra in (("mine", []), ("brute", []), ("random", ["--trials", "1"])):
+        args = build_parser().parse_args([command, "--input", "x.csv", *extra, "--out", "x"])
+        for flag, field in fields.items():
+            if flag != "rho" or command == "mine":
+                assert getattr(args, flag) == getattr(miner.MinerConfig, field), (command, flag)
 
 
 def test_version_flag():

@@ -315,20 +315,31 @@ def test_planted_sampler_matches_its_own_loop_bit_for_bit(k):
         assert [m.entries.tobytes() for m in got] == [m.entries.tobytes() for m in want]
 
 
-@pytest.mark.parametrize("thresholds", [{"gain_min": 0.6}, {"rho_max": -0.9}])
-def test_planted_matrices_unreachable_thresholds_raise(thresholds):
-    # no PSD matrix has a gain above 1/(k-1), nor rho_s below -1/(k-1) (its mean off-diagonal)
-    with pytest.raises(ValueError, match=r"no k=3 planted matrix .* in 32768 consecutive proposals"):
-        sample_planted_matrices(3, 1, np.random.SeedSequence(94), **thresholds)
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_rho_s_bound_is_attained_by_an_equicorrelated_matrix(k):
+    # rho_s >= -(1 - lambda_min)/(k-1), with equality at r < 0: why no k >= 6 block can be planted
+    for r in (-0.9 / (k - 1), -0.5 / (k - 1), -0.01):
+        study = measures._study_stack(equicorrelated(k, r)[None])
+        assert abs(study.rho_s[0] + (1.0 - study.lambda_min[0]) / (k - 1)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["dependence_min", "gain_min", "rho_max"])
-def test_planted_matrices_nan_threshold_raises_before_any_proposal(monkeypatch, name):
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_rho_s_bound_holds_on_uniform_and_planted_draws(k):
+    stacks = [stats._accepted_stack(k, 200, np.random.SeedSequence(90 + k))]
+    if k <= 5:
+        stacks.append(planted_stack(k, 50, np.random.SeedSequence(90 + k)))
+    for mats in stacks:
+        study = measures._study_stack(mats)
+        assert np.all(study.rho_s >= -(1.0 - study.lambda_min) / (k - 1) - 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 6, 8])
+def test_planted_matrices_outside_3_to_5_raise_before_any_proposal(monkeypatch, k):
     calls = []
     study = measures._study_stack
     monkeypatch.setattr(measures, "_study_stack", lambda mats: calls.append(len(mats)) or study(mats))
-    with pytest.raises(ValueError, match=f"{name} must not be NaN"):
-        sample_planted_matrices(3, 1, np.random.SeedSequence(94), **{name: float("nan")})
+    with pytest.raises(ValueError, match=re.escape(f"planted matrices need k in [3, 5], got {k}")):
+        sample_planted_matrices(k, 1, np.random.SeedSequence(94))
     assert calls == []
 
 
