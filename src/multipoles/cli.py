@@ -108,8 +108,8 @@ def cmd_merge(args, base: str):
 
 def _sampled_report(args):
     """stack_report_rows of the --count accepted matrices of size --k."""
-    if not (3 <= args.k <= 8):
-        raise ValueError("k must be in [3,8]")
+    if not (3 <= args.k <= stats._UNIFORM_SIZES[-1]):
+        raise ValueError(f"k must be in [3,{stats._UNIFORM_SIZES[-1]}]")
     if args.count < 1:
         raise ValueError("count must be >= 1")
     return bounds.stack_report_rows(stats._accepted_stack(args.k, args.count, args.seed))
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", "validate eigengap bounds over sampled matrices", cmd_bounds),
     ):
         p = sub.add_parser(name, help=help_, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("--k", type=int, required=True, help="matrix size, in [3,8]")
+        p.add_argument("--k", type=int, required=True, help=f"matrix size, in [3,{stats._UNIFORM_SIZES[-1]}]")
         p.add_argument("--count", type=int, required=True, help="accepted matrices to sample, >= 1")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", required=True, help="output base path; writes .csv, .manifest.json")

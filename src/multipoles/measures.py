@@ -78,13 +78,12 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class MultipoleRecord:
-    """One mined multipole: members+signs, dependence, gain, weights, maximality."""
+    """One mined multipole: members+signs, dependence, gain, weights."""
 
     signed: SignedSet
     sigma: float
     gain: float
     weights: tuple[float, ...]
-    maximal: bool
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -123,7 +122,7 @@ def lvnlc(A, subset) -> tuple[float, NDArray[np.float64]]:
     """
     sub, _ = _checked_subset(A, subset, 2)
     form = _canonical(sub[None])
-    return float(form.values[0, 0]), form.vectors[0]
+    return float(form.values[0]), form.vectors[0]
 
 
 def linear_dependence(A, subset) -> float:
@@ -200,7 +199,7 @@ def negative_equivalent_witness(A, subset, rho: float) -> Optional[SignedSet]:
 class _Form(NamedTuple):
     """Smallest eigenpair and self-canceling form of each matrix in a (B, k, k) stack."""
 
-    values: NDArray[np.float64]  # (B, k) ascending eigenvalues
+    values: NDArray[np.float64]  # (B,) smallest eigenvalues
     vectors: NDArray[np.float64]  # (B, k) canonically oriented smallest eigenvectors
     signs: NDArray[np.float64]  # (B, k) -1.0 where the vector is below -FLIP_EPS, else 1.0
     weights: NDArray[np.float64]  # (B, k) vectors * signs
@@ -211,8 +210,7 @@ def _canonical(mats: NDArray[np.float64]) -> _Form:
     """Self-canceling form of every matrix in the stack, from one eigen-solve."""
     mats = np.asarray(mats, dtype=np.float64)
     k = mats.shape[1]
-    values, vecs = linalg.eigh_many(mats, vectors=True)
-    vectors = vecs[:, :, 0]
+    values, vectors = linalg.eigh_many(mats, vectors=True)
     signs = np.where(vectors < -FLIP_EPS, -1.0, 1.0)
     adj = mats * signs[:, :, None] * signs[:, None, :]
     rho_s = adj[:, ~np.eye(k, dtype=bool)].max(axis=1)
@@ -241,7 +239,7 @@ def _deletion_min_eigvals(mats: NDArray[np.float64]) -> NDArray[np.float64]:
     for j in range(k):
         sel = keep[keep != j]
         sub = mats[:, sel[:, None], sel[None, :]]
-        out[:, j] = linalg.eigh_many(sub, vectors=False)[0][:, 0]
+        out[:, j] = linalg.eigh_many(sub, vectors=False)[0]
     return out
 
 
@@ -251,6 +249,5 @@ def _study_stack(mats: NDArray[np.float64]) -> StackStudy:
     common size k >= 3."""
     mats = np.asarray(mats, dtype=np.float64)
     form = _canonical(mats)
-    lam = form.values[:, 0]
     deletion = _deletion_min_eigvals(mats)
-    return StackStudy(lambda_min=lam, deletion_min=deletion, gain=deletion.min(axis=1) - lam, rho_s=form.rho_s)
+    return StackStudy(lambda_min=form.values, deletion_min=deletion, gain=deletion.min(axis=1) - form.values, rho_s=form.rho_s)

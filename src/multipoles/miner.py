@@ -11,7 +11,7 @@ import csv as _csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,8 +62,8 @@ def _gather(M: NDArray[np.float64], sel: NDArray[np.intp]) -> NDArray[np.float64
 
 # Most matrices per eigh_many stack: the solver's scratch grows with the
 # stack, and only a brute-force level of 10^5 subsets comes near this. At the
-# cap, one values-only solve of 12x12 matrices peaks at 66 MiB under
-# tracemalloc, the 36 MiB stack itself not counted (147 MiB with vectors).
+# cap, one values-only solve of 12x12 matrices peaks at 63 MiB under
+# tracemalloc, the 36 MiB stack itself not counted (111 MiB with vectors).
 _STACK_ROWS = 1 << 15
 
 # A shifted Cholesky factorization proves that a set fails or reaches sigma by
@@ -92,7 +92,7 @@ def _lambda_min(M: NDArray[np.float64], members: list[tuple[int, ...]], cuts: ND
             factors = linalg._cholesky_stack(sub[solve], -reach)[1] < 0
             out[solve], solve[solve] = np.where(factors, np.inf, -np.inf), factors
         if solve.any():
-            out[solve] = linalg.eigh_many(sub[solve], vectors=False)[0][:, 0]
+            out[solve] = linalg.eigh_many(sub[solve], vectors=False)[0]
     return lam
 
 
@@ -106,7 +106,6 @@ def _make_records(M: NDArray[np.float64], members: list[tuple[int, ...]], sigma,
             sigma=float(sigma[row]),
             gain=float(gain[row]),
             weights=tuple(float(x) for x in form.weights[row]),
-            maximal=False,
         )
         for row, t in enumerate(members)
     ]
@@ -229,7 +228,7 @@ def remove_non_maximal(records) -> list[measures.MultipoleRecord]:
     set blocks all of its subsets from later acceptance.
     """
     ordered = sorted(records, key=lambda r: (-r.size, r.signed))
-    return [replace(rec, maximal=True) for rec in _drop_contained(ordered, lambda r: r.members)]
+    return _drop_contained(ordered, lambda r: r.members)
 
 
 def _final_sort(records) -> list[measures.MultipoleRecord]:

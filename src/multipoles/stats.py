@@ -3,10 +3,10 @@ permutation-style significance testing.
 
 Both matrix samplers draw through one loop, _draw_stack, and differ only in
 their proposal and keep test: uniform PSD matrices (_accepted_stack, k in
-[2, 8]) and planted near-equicorrelated ones (sample_planted_matrices, k in
-[3, 5], the only sizes its fixed thresholds admit). Batches have a fixed
-size, so output is a deterministic function of the seed and a shorter run is
-a prefix of a longer one.
+_UNIFORM_SIZES) and planted near-equicorrelated ones
+(sample_planted_matrices, k in _PLANT_SIZES, the only sizes its fixed
+thresholds admit). Batches have a fixed size, so output is a deterministic
+function of the seed and a shorter run is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import dataset, linalg, measures
 _DRAW_BATCH = 8192  # uniform draws per batch
 _PLANT_BATCH = 512  # planted proposals per batch
 _PSD_TOL = 1e-10
+_UNIFORM_SIZES = range(2, 9)  # uniform draws; the largest keeps none: see _accepted_stack
 # A planted block is kept iff lambda_min, dependence, gain and rho_s clear these.
 _PLANT_LAMBDA_FLOOR = 1e-4
 _PLANT_DEPENDENCE_MIN = 0.75
@@ -57,10 +58,11 @@ def _accepted_stack(k: int, count: int, seed) -> NDArray[np.float64]:
     """`count` correlation matrices with uniform [-1,1] off-diagonals, in
     draw order, kept iff M + 1e-10 I has a Cholesky factorization with every
     pivot above 1e-12 (iff lambda_min >= -1e-10, up to about 1e-12). k lies
-    in [2, 8]; k = 8 raises ValueError: its first 64 batches of 8192 keep none.
+    in _UNIFORM_SIZES, and its largest raises ValueError: the first 64
+    batches of 8192 keep none.
     """
-    if not (2 <= k <= 8):
-        raise ValueError(f"k must lie in [2, 8], got {k}")
+    if k not in _UNIFORM_SIZES:
+        raise ValueError(f"k must lie in [{_UNIFORM_SIZES[0]}, {_UNIFORM_SIZES[-1]}], got {k}")
     return _draw_stack(
         k, count, seed, _DRAW_BATCH,
         lambda rng, shape: rng.uniform(-1.0, 1.0, size=shape),
@@ -207,7 +209,7 @@ def significance_sigma(candidate_sigma: float, k: int, pool, samples: int, seed)
     count_ge = 0
     for done in range(0, samples, 2048):
         windows = np.argsort(rng.random((min(2048, samples - done), len(pool))), axis=1)[:, :k]
-        lam = linalg.eigh_many(dataset._correlations(_pool_columns(pool, windows, rng)), vectors=False)[0][:, 0]
+        lam = linalg.eigh_many(dataset._correlations(_pool_columns(pool, windows, rng)), vectors=False)[0]
         count_ge += int((measures._sigma_of(lam) >= candidate_sigma).sum())
     return (1 + count_ge) / (samples + 1)
 
@@ -219,7 +221,7 @@ def _members_sigma(d: dataset.TimeSeriesDataset, members: tuple[int, ...]):
         raise ValueError("dataset must be standardized")
     X = d.values[:, members]
     C = dataset._correlations(X)
-    lam = linalg.eigh_many(C[None], vectors=False)[0][0, 0]
+    lam = linalg.eigh_many(C[None], vectors=False)[0][0]
     return X, C, float(measures._sigma_of(lam))
 
 
@@ -248,7 +250,7 @@ def member_contribution(d: dataset.TimeSeriesDataset, multipole, member: int, po
     other = [i for i in range(k) if i != pos]
     mats[:, other, pos] = cross.T
     mats[:, pos, other] = cross.T
-    lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
+    lam = linalg.eigh_many(mats, vectors=False)[0]
     count_ge = int((measures._sigma_of(lam) >= sigma0).sum())
     return (1 + count_ge) / (repeats + 1)
 

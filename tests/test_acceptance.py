@@ -188,7 +188,7 @@ def run_criterion_7(outdir, res):
             for r, i in enumerate(rows):
                 stack[r] = mats[i][np.ix_(idx_lists[i], idx_lists[i])]
             vals, _ = linalg.eigh_many(stack)
-            out[np.array(rows)] = 1.0 - vals[:, 0]
+            out[np.array(rows)] = 1.0 - vals
         return out
 
     sig_sup = stack_sigma(sups)

@@ -1,5 +1,6 @@
 """Eigensolver and Cholesky tests, cross-checked against numpy.linalg."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,28 +39,29 @@ def block_diagonal(rng, n, k):
     return mats
 
 
+def assert_smallest_pairs(mats, vals, vecs, tol):
+    """vals is numpy's smallest eigenvalue of each matrix, and each row of vecs
+    a unit vector v with |A v - lambda v| below tol."""
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(mats)[:, 0])) < tol
+    assert np.max(np.abs(np.einsum("nij,nj->ni", mats, vecs) - vals[:, None] * vecs)) < tol
+    assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) < tol
+
+
 def test_values_match_numpy_random_stack():
     rng = np.random.default_rng(11)
     for k in (2, 3, 4, 5, 8, 13):
         mats = random_symmetric(rng, 40, k)
         vals, _ = eigh_many(mats)
-        ref = np.linalg.eigvalsh(mats)
-        assert np.max(np.abs(vals - ref)) < 1e-9
+        assert vals.shape == (40,)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(mats)[:, 0])) < 1e-9
 
 
 def test_vectors_reconstruct_and_are_orthonormal():
     rng = np.random.default_rng(12)
     mats = random_symmetric(rng, 30, 6)
     vals, vecs = eigh_many(mats, vectors=True)
-    for a, w, v in zip(mats, vals, vecs):
-        assert np.max(np.abs(a - (v * w) @ v.T)) < 1e-9
-        assert np.max(np.abs(v.T @ v - np.eye(6))) < 1e-9
-
-
-def test_values_sorted_ascending():
-    rng = np.random.default_rng(13)
-    vals, _ = eigh_many(random_symmetric(rng, 25, 7))
-    assert np.all(np.diff(vals, axis=1) >= 0)
+    assert vecs.shape == (30, 6)
+    assert_smallest_pairs(mats, vals, vecs, 1e-9)
 
 
 def test_two_by_two_closed_form_matches_numpy():
@@ -76,11 +78,7 @@ def test_two_by_two_closed_form_matches_numpy():
     )
     mats = np.concatenate([mats, extra])
     vals, vecs = eigh_many(mats, vectors=True)
-    ref = np.linalg.eigvalsh(mats)
-    assert np.max(np.abs(vals - ref)) < 1e-12
-    for a, w, v in zip(mats, vals, vecs):
-        assert np.max(np.abs(a - (v * w) @ v.T)) < 1e-12
-        assert np.max(np.abs(v.T @ v - np.eye(2))) < 1e-12
+    assert_smallest_pairs(mats, vals, vecs, 1e-12)
 
 
 def test_correlation_pair_eigenvalues_exact():
@@ -88,9 +86,8 @@ def test_correlation_pair_eigenvalues_exact():
     for c in (-1.0, -0.73, -0.2, 0.0, 0.31, 0.999):
         a = np.array([[1.0, c], [c, 1.0]])
         vals, vecs = eigh_many(a[None], vectors=True)
-        assert vals[0, 0] == 1.0 - abs(c)
-        assert vals[0, 1] == 1.0 + abs(c)
-        assert np.max(np.abs(vecs[0].T @ vecs[0] - np.eye(2))) < 1e-12
+        assert vals[0] == 1.0 - abs(c)
+        assert abs(np.linalg.norm(vecs[0]) - 1.0) < 1e-12
 
 
 def test_equicorrelated_triple_spectrum():
@@ -98,17 +95,15 @@ def test_equicorrelated_triple_spectrum():
     a = np.full((3, 3), r)
     np.fill_diagonal(a, 1.0)
     vals, _ = eigh_many(a[None])
-    assert np.allclose(vals[0], [1.0 + 2 * r, 1.0 - r, 1.0 - r], atol=1e-12)
+    assert abs(vals[0] - (1.0 + 2 * r)) < 1e-12
 
 
 def test_eigen_symmetric_and_min_eigenpair():
     rng = np.random.default_rng(15)
     a = random_symmetric(rng, 1, 5)[0]
     vals, vecs = eigh_many(a[None], vectors=True)
-    ref_vals, _ = np.linalg.eigh(a)
-    assert np.allclose(vals[0], ref_vals, atol=1e-9)
-    for w, v in zip(vals[0], vecs[0].T):
-        assert np.allclose(a @ v, w * v, atol=1e-8)
+    ref_vals = np.linalg.eigvalsh(a)
+    assert_smallest_pairs(a[None], vals, vecs, 1e-8)
     lam, vec = lvnlc(a, range(5))
     assert abs(lam - ref_vals[0]) < 1e-9
     assert np.allclose(a @ vec, lam * vec, atol=1e-8)
@@ -116,14 +111,14 @@ def test_eigen_symmetric_and_min_eigenpair():
 
 def test_identity_spectrum():
     vals, _ = eigh_many(np.eye(3)[None])
-    assert np.array_equal(vals[0], [1.0, 1.0, 1.0])
+    assert vals.tolist() == [1.0]
 
 
 def test_min_eigenpair_anticorrelated_pair():
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
     vals, vecs = eigh_many(a[None], vectors=True)
-    assert abs(vals[0, 0]) < 1e-12
-    assert np.allclose(vecs[0, :, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+    assert abs(vals[0]) < 1e-12
+    assert np.allclose(vecs[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 
 def test_min_eigenpair_identity():
@@ -135,9 +130,7 @@ def test_eigenvector_orientation_is_canonical():
     rng = np.random.default_rng(16)
     _, vecs = eigh_many(random_symmetric(rng, 40, 4), vectors=True)
     for v in vecs:
-        for col in v.T:
-            lead = col[np.abs(col) > 1e-10][0]
-            assert lead > 0
+        assert v[np.abs(v) > 1e-10][0] > 0
 
 
 def test_batch_composition_does_not_affect_results():
@@ -174,20 +167,15 @@ def test_interlacing_under_deletion():
         keep = [0, 1, 2, 3, 4]
         sub = a[np.ix_(keep, keep)]
         wsub, _ = eigh_many(sub[None])
-        assert wsub[0, 0] >= w[0] - 1e-9
-
-
-def test_trace_preserved():
-    rng = np.random.default_rng(20)
-    mats = random_symmetric(rng, 30, 5)
-    vals, _ = eigh_many(mats)
-    assert np.allclose(vals.sum(axis=1), np.trace(mats, axis1=1, axis2=2), atol=1e-9)
+        assert wsub[0] >= w - 1e-9
 
 
 def jacobi_with_separate_vectors(mats, vectors):
     """The Jacobi loop with the eigenvectors in their own (n, k, k) array V,
-    rotated column by column after the matrix: the layout eigh_many had
-    before it stacked them below the matrix."""
+    rotated column by column after the matrix, then the whole spectrum
+    sorted stably and every column oriented: the layout and write-out
+    eigh_many had before it stacked them below the matrix and kept only the
+    smallest pair. Returns that pair, column 0 of the sort."""
     A = np.array(mats, dtype=np.float64)
     n, k = A.shape[0], A.shape[1]
     if k == 2:
@@ -223,8 +211,8 @@ def jacobi_with_separate_vectors(mats, vectors):
     order = np.argsort(A[:, diag, diag], axis=1, kind="stable")
     values = np.take_along_axis(A[:, diag, diag], order, axis=1)
     if V is not None:
-        V = linalg._orient(np.take_along_axis(V, order[:, None, :], axis=2))
-    return values, V
+        V = linalg._orient(np.take_along_axis(V, order[:, None, :], axis=2)[:, :, 0])
+    return values[:, 0], V
 
 
 def assert_matches_the_reference(mats):
@@ -236,7 +224,7 @@ def assert_matches_the_reference(mats):
         assert (vecs is None and ref_vecs is None) or vecs.tobytes() == ref_vecs.tobytes()
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_stacked_vectors_match_a_separate_vector_array_bit_for_bit(k):
     # rounded entries, rows and columns of exact zeros, pivots and rows of -0.0
     # (zero pivots are skipped), block-diagonal matrices whose decoupled pairs give
@@ -272,7 +260,24 @@ def test_matrices_left_at_the_sweep_cap_match_the_reference_bit_for_bit(monkeypa
     assert_matches_the_reference(np.concatenate([random_symmetric(rng, 20, 6), mixed_convergence(rng, 20, 6)]))
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 12])
+def test_ties_pick_the_full_sorts_first_column_bit_for_bit(k):
+    # identity matrices (every diagonal entry ties), equicorrelated r = 0.3
+    # (lambda_min = 0.7 with multiplicity k - 1) and diagonals whose two
+    # smallest entries are 0.0 and -0.0, in either order
+    equi = np.full((k, k), 0.3)
+    np.fill_diagonal(equi, 1.0)
+    zeros = np.tile(np.eye(k), (4, 1, 1))
+    zeros[0, [0, 1], [0, 1]] = 0.0, -0.0
+    zeros[1, [0, 1], [0, 1]] = -0.0, 0.0
+    zeros[2, [1, k - 1], [1, k - 1]] = -0.0, 0.0
+    zeros[3, [1, k - 1], [1, k - 1]] = 0.0, -0.0
+    assert_matches_the_reference(np.concatenate([np.tile(np.eye(k), (3, 1, 1)), np.tile(equi, (3, 1, 1)), zeros]))
+    if k > 2:  # the closed form computes 0.0 - 0.0 = 0.0 for either zero
+        assert np.signbit(eigh_many(zeros)[0]).tolist() == [False, True, True, False]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
 def test_eigh_many_never_writes_its_input(k):
     # a stack of one made from a 2-d matrix, as the significance null passes it,
     # and a stack of five
@@ -290,16 +295,26 @@ def test_eigh_many_rejects_bad_shapes():
         eigh_many(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         eigh_many(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError):
-        eigh_many(np.zeros((1, 65, 65)))
+    # sizes outside [2, 64] raise before any work: nothing the size of the stack is allocated
+    for k, n in ((0, 100_000), (1, 100_000), (65, 30)):
+        mats = np.zeros((n, k, k))
+        for vectors in (True, False):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"matrix dimension {k} is outside \\[2, 64\\]"):
+                    eigh_many(mats, vectors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
 
 
 def test_eigh_many_empty_stack():
-    # no matrices, or matrices of size 0
-    for n, k in ((0, 4), (3, 0)):
-        vals, vecs = eigh_many(np.zeros((n, k, k)), vectors=True)
-        assert vals.shape == (n, k)
-        assert vecs.shape == (n, k, k)
+    for k in (2, 12):
+        for vectors in (True, False):
+            vals, vecs = eigh_many(np.zeros((0, k, k)), vectors)
+            assert vals.shape == (0,)
+            assert vecs.shape == (0, k) if vectors else vecs is None
 
 
 def test_cholesky_matches_numpy():
@@ -414,8 +429,7 @@ def test_is_psd():
     np.fill_diagonal(a, 1.0)
     b = np.full((3, 3), -0.5)
     np.fill_diagonal(b, 1.0)
-    vals, _ = eigh_many(np.stack([np.eye(3), np.ones((3, 3)), a, b]))
-    lam = vals[:, 0]
+    lam, _ = eigh_many(np.stack([np.eye(3), np.ones((3, 3)), a, b]))
     assert lam[0] == 1.0
     assert lam[1] >= -1e-10  # rank one, eigenvalues {0, 0, 3}
     assert lam[2] == pytest.approx(-0.8)
@@ -448,7 +462,7 @@ def test_shifted_cholesky_certifies_each_side_of_the_smallest_eigenvalue(k):
     # 1e-10 away from the eigenvalue the factorization always decides.
     outcomes = set()
     mats = certificate_cases(k)
-    for m, lam in zip(mats, eigh_many(mats, vectors=False)[0][:, 0]):
+    for m, lam in zip(mats, eigh_many(mats, vectors=False)[0]):
         for offset in (1e-13, 1e-12, 1e-10, 1e-9):
             for c in (lam - offset, lam + offset):
                 factors = linalg._cholesky_stack(m[None], -c)[1][0] < 0

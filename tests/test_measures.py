@@ -364,7 +364,6 @@ def test_multipole_record_reports_members():
         sigma=0.8,
         gain=0.2,
         weights=(0.6, 0.6, 0.52),
-        maximal=True,
     )
     assert rec.members == (2, 5, 7)
     assert rec.size == 3

@@ -75,7 +75,6 @@ def record_for(A, members, signs=None):
         sigma=sigma,
         gain=gain,
         weights=(1.0,) * len(sub),
-        maximal=False,
     )
 
 
@@ -219,7 +218,6 @@ def test_remove_non_maximal_eliminates_subsets():
     recs = [record_for(a, [0, 1, 2]), record_for(a, [0, 1, 2, 3])]
     out = remove_non_maximal(recs)
     assert [r.members for r in out] == [(0, 1, 2, 3)]
-    assert out[0].maximal
 
 
 def test_remove_non_maximal_drops_duplicates():
@@ -273,7 +271,6 @@ def test_remove_non_maximal_matches_blocking_reference():
                 sigma=float(rng.random()),
                 gain=float(rng.random()),
                 weights=(1.0,) * len(m),
-                maximal=False,
             )
             for m in random_family(rng, 12, 40)
         ]
@@ -281,7 +278,6 @@ def test_remove_non_maximal_matches_blocking_reference():
         want = [ordered[t].members for t in blocking_reference([r.members for r in ordered])]
         got = remove_non_maximal(recs)
         assert [r.members for r in got] == want
-        assert all(r.maximal for r in got)
 
 
 def test_merge_by_names_matches_blocking_reference():
@@ -310,7 +306,6 @@ def test_mine_recovers_planted_equicorrelated_triple():
     assert recs[0].members == (0, 1, 2)
     assert abs(recs[0].sigma - 1.0) < 0.05
     assert abs(recs[0].gain - 0.5) < 0.05
-    assert recs[0].maximal
 
 
 def test_mine_white_noise_is_empty():
@@ -427,7 +422,6 @@ def test_mine_output_is_maximal_and_sorted():
         assert not (members[a] < members[b] or members[b] < members[a])
     gains = [r.gain for r in recs]
     assert gains == sorted(gains, reverse=True)
-    assert all(r.maximal for r in recs)
 
 
 def test_mine_soundness_reevaluated_via_measures():
@@ -568,7 +562,7 @@ def dependences(A, sizes):
     out = {}
     for size in sizes:
         subsets = list(itertools.combinations(range(A.shape[0]), size))
-        lam = linalg.eigh_many(miner._gather(A, np.asarray(subsets)), vectors=False)[0][:, 0]
+        lam = linalg.eigh_many(miner._gather(A, np.asarray(subsets)), vectors=False)[0]
         out.update(zip(subsets, measures._sigma_of(lam)))
     return out
 

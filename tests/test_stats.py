@@ -84,10 +84,10 @@ def test_sampler_accepts_every_pair():
 def test_sampler_rejects_indefinite_draws():
     # the acceptance criterion is PSD within 1e-10: all -0.9 fails it
     # (lambda_min = -0.8), all -0.5 sits exactly on the boundary
-    lam = linalg.eigh_many(np.stack([equicorrelated(3, -0.9), equicorrelated(3, -0.5)]), vectors=False)[0][:, 0]
+    lam = linalg.eigh_many(np.stack([equicorrelated(3, -0.9), equicorrelated(3, -0.5)]), vectors=False)[0]
     assert lam[0] < -1e-10 <= lam[1]
     # and every emitted matrix satisfies it
-    lam = linalg.eigh_many(stats._accepted_stack(3, 50, seed=84), vectors=False)[0][:, 0]
+    lam = linalg.eigh_many(stats._accepted_stack(3, 50, seed=84), vectors=False)[0]
     assert np.all(lam >= -1e-10)
 
 
@@ -115,7 +115,7 @@ def shifted_singular(k, lam, seed):
 def test_sampler_psd_boundary_is_minus_1e_10(k):
     # draws are kept iff lambda_min >= -1e-10, away from a band of about 1e-12
     mats = [shifted_singular(k, lam, seed=k) for lam in (-2e-10, -5e-11, 0.3, -1e-3)]
-    lam = linalg.eigh_many(np.stack(mats), vectors=False)[0][:, 0]
+    lam = linalg.eigh_many(np.stack(mats), vectors=False)[0]
     assert lam == pytest.approx([-2e-10, -5e-11, 0.3, -1e-3], rel=1e-3)
     iu = np.triu_indices(k, 1)
     kept = stats._accepted_stack(k, 2, ScriptedDraws([m[iu] for m in mats]))
@@ -145,7 +145,7 @@ def unscreened_stack(k, count, seed):
         mats = np.broadcast_to(np.eye(k), (stats._DRAW_BATCH, k, k)).copy()
         mats[:, iu, ju] = draws
         mats[:, ju, iu] = draws
-        lam = linalg.eigh_many(mats, vectors=False)[0][:, 0]
+        lam = linalg.eigh_many(mats, vectors=False)[0]
         chunks.append(mats[lam >= -1e-10])
         have += len(chunks[-1])
     return np.concatenate(chunks)[:count], len(chunks)
